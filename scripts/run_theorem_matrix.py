@@ -6,13 +6,14 @@ Usage: python scripts/run_theorem_matrix.py [--max-total 6] [--budget-seconds 12
 
 import argparse
 
+from laurent_eulerian.cli import _seconds_arg
 from laurent_eulerian.experiments import theorem_matrix
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-total", type=int, default=6)
-    ap.add_argument("--budget-seconds", type=float, default=None)
+    ap.add_argument("--budget-seconds", type=_seconds_arg, default=None)
     args = ap.parse_args()
 
     rep = theorem_matrix(args.max_total, args.budget_seconds)

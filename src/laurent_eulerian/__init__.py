@@ -14,7 +14,6 @@ from .deadline import Deadline, DeadlineExceeded
 from .chow import ChowRing, divisor_class, generic_ci_degree, sparse_ci_degree
 from .eulerian import (
     CircularPermutation,
-    circular_ascents,
     deg_Z_circle,
     eulerian,
     eulerian_bruteforce,
@@ -64,7 +63,6 @@ __all__ = [
     "generic_ci_degree",
     "sparse_ci_degree",
     "CircularPermutation",
-    "circular_ascents",
     "deg_Z_circle",
     "eulerian",
     "eulerian_bruteforce",

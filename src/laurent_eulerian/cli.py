@@ -528,6 +528,10 @@ def dispatch(args) -> dict:
 
 
 def main(argv=None) -> int:
+    # answers are exact integers: print them in full, past Python's default
+    # 4300-digit limit on int-to-str conversion (<1600, 800> already has more)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

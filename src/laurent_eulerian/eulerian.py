@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 
@@ -36,7 +36,16 @@ def eulerian(n: int, k: int) -> int:
     key = (n, k)
     v = _eulerian_memo.get(key)
     if v is None:
-        v = (k + 1) * eulerian(n - 1, k) + (n - k) * eulerian(n - 1, k - 1)
+        # row by row from <1,0>; a cell of row r reaches (n, k) only through
+        # columns k-(n-r)..k, so only that band of one row is kept (every
+        # full row up to n = 1500 would hold about 1 GB of integers)
+        row = {0: 1}
+        for r in range(2, n + 1):
+            row = {
+                j: (j + 1) * row.get(j, 0) + (r - j) * row.get(j - 1, 0)
+                for j in range(max(0, k - (n - r)), min(k, r - 1) + 1)
+            }
+        v = row[k]
         _eulerian_memo[key] = v
     return v
 
@@ -105,12 +114,19 @@ def gen_eulerian(k: int, ell: int, d: int) -> int:
     key = (k, ell, d)
     v = _gen_memo.get(key)
     if v is None:
-        if k == d - 1:
-            v = 1 if math.gcd(ell + 1, d) == 1 else 0
-        else:
-            v = (ell + 1) * gen_eulerian(k - d, ell, d) + (k - ell) * gen_eulerian(
-                k - d, ell - d, d
-            )
+        # row by row from the base row d-1; a cell of row r reaches (k, ell)
+        # only through columns ell, ell-d, ..., ell-s*d with s <= (k-r)/d,
+        # so only those are kept
+        for r in range(d - 1, k + 1, d):
+            cols = range(max(ell - (k - r) // d * d, ell % d), min(ell, r) + 1, d)
+            if r == d - 1:
+                row = {c: 1 if math.gcd(c + 1, d) == 1 else 0 for c in cols}
+            else:
+                row = {
+                    c: (c + 1) * row.get(c, 0) + (r - c) * row.get(c - d, 0)
+                    for c in cols
+                }
+        v = row[ell]
         _gen_memo[key] = v
     return v
 
@@ -167,62 +183,50 @@ class CircularPermutation:
         return CircularPermutation(tuple((v + 1) % n for v in self.elements))
 
 
-def circular_ascents(c: CircularPermutation) -> int:
-    return c.circular_ascents()
-
-
-@lru_cache(maxsize=8)
-def _ascent_classes(N: int) -> dict:
-    """All canonical circular permutations of {0,...,N-1}, keyed by ascent count."""
-    buckets: dict = {}
-    for rest in itertools.permutations(range(1, N)):
-        e = (0,) + rest
-        a = sum(1 for t in range(N) if e[t] < e[(t + 1) % N])
-        buckets.setdefault(a, []).append(e)
-    return buckets
-
-
 @dataclass(frozen=True)
 class OrbitDecomposition:
     N: int
     ascents: int
-    orbits: tuple  # tuple of tuples of CircularPermutation, each sorted
+    orbits: tuple  # (minimum member as a tuple, orbit size), by (size, member)
 
     @property
     def sizes(self) -> list:
-        return sorted(len(o) for o in self.orbits)
+        return [size for _, size in self.orbits]
 
     @property
     def representatives(self) -> list:
-        return [min(o) for o in self.orbits]
+        return [CircularPermutation(e) for e, _ in self.orbits]
 
     @property
     def total(self) -> int:
-        return sum(len(o) for o in self.orbits)
+        return sum(self.sizes)
 
 
 def orbit_decomposition(N: int, a: int, cap: int = 11) -> OrbitDecomposition:
-    """Orbits of the add-1 action on circular permutations with a circular ascents."""
+    """Orbits of the add-1 action on circular permutations with a circular ascents.
+
+    One pass over the canonical permutations (0,)+rest: each member e follows
+    its orbit until it meets a smaller member (then e is not the orbit's
+    minimum) or returns to e, so every orbit is recorded once, at its minimum.
+    """
     if N < 2:
         raise ValueError("N must be at least 2")
     if N > cap:
         raise EnumerationCapError(f"N = {N} exceeds the enumeration cap {cap}")
-    members = sorted(_ascent_classes(N).get(a, ()))
-    pending = set(members)
     orbits = []
-    for elems in members:
-        if elems not in pending:
+    for rest in itertools.permutations(range(1, N)):
+        # 0 -> rest[0] is always a circular ascent, rest[-1] -> 0 never is
+        if 1 + sum(map(operator.lt, rest, rest[1:])) != a:
             continue
-        start = CircularPermutation(elems)
-        orbit = [start]
-        cur = start.add_one()
-        while cur != start:
-            orbit.append(cur)
-            cur = cur.add_one()
-        for c in orbit:
-            pending.discard(c.elements)
-        orbits.append(tuple(sorted(set(orbit))))
-    orbits.sort(key=lambda o: (len(o), o[0]))
+        e = cur = (0,) + rest
+        for size in range(1, N + 1):
+            z = cur.index(N - 1)  # N-1 becomes 0: rotate it to the front
+            cur = tuple((v + 1) % N for v in cur[z:] + cur[:z])
+            if cur <= e:
+                break
+        if cur == e:
+            orbits.append((e, size))
+    orbits.sort(key=lambda o: o[1])  # stable: members come in increasing order
     return OrbitDecomposition(N, a, tuple(orbits))
 
 

@@ -4,6 +4,7 @@ Eulerian number, and the graded Hilbert-slice computation with generic forms."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -88,7 +89,7 @@ _RANK_PRIMES = (2147483629, 2147482801, 2147482583)
 
 def _rank_mod_p(M: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> int:
     """Row-echelon rank of an int64 matrix modulo a 31-bit prime."""
-    A = np.mod(M, p).astype(np.int64)
+    A = np.mod(M, p, dtype=np.int64)
     nrows, ncols = A.shape
     r = 0
     for c in range(ncols):
@@ -124,52 +125,65 @@ def _exact_slice_rank(forms, slices, index, j: int, deadline: Optional[Deadline]
     meet the rank is pinned; otherwise fall back to exact elimination.
     """
     target = index[j]
-    row_keys = [
-        (i, t)
-        for i in range(1, min(len(forms), j) + 1)
-        for t in range(len(slices[j - i]))
-    ]
+    top = min(len(forms), j)
+    row_keys = [(i, t) for i in range(1, top + 1) for t in range(len(slices[j - i]))]
     if not row_keys or not target:
         return 0
     row_pos = {k: t for t, k in enumerate(row_keys)}
 
-    def build_span():
-        A = np.zeros((len(row_keys), len(target)), dtype=np.int64)
-        for r, (i, t) in enumerate(row_keys):
-            q = slices[j - i][t]
+    # span matrix: row (i, t) holds q*g_i for the t-th monomial q of slice j-i
+    A = np.zeros((len(row_keys), len(target)), dtype=np.int64)
+    r = 0
+    for i in range(1, top + 1):
+        if deadline is not None:
+            deadline.check()
+        for q in slices[j - i]:
             for ge, gc in forms[i - 1].terms.items():
                 e = tuple(a + b for a, b in zip(q, ge))
                 A[r, target[e]] += int(gc)
-        return A
+            r += 1
 
-    A = build_span()
+    syz = None
     for p in _RANK_PRIMES:
         if deadline is not None:
             deadline.check()
         r_low = _rank_mod_p(A, p, deadline)
         if r_low == len(row_keys):
             return r_low
-        # Koszul syzygy rows, one per (i < k, monomial q of bidegree (j-i-k, 0))
-        syz = []
-        for i, k in itertools.combinations(range(1, min(len(forms), j) + 1), 2):
-            if i + k > j:
-                continue
-            qi = {u: t for t, u in enumerate(slices[j - i])}
-            qk = {u: t for t, u in enumerate(slices[j - k])}
-            for q in slices[j - i - k]:
-                row = np.zeros(len(row_keys), dtype=np.int64)
-                for ge, gc in forms[k - 1].terms.items():
-                    e = tuple(a + b for a, b in zip(q, ge))
-                    row[row_pos[(i, qi[e])]] += int(gc)
-                for ge, gc in forms[i - 1].terms.items():
-                    e = tuple(a + b for a, b in zip(q, ge))
-                    row[row_pos[(k, qk[e])]] -= int(gc)
-                syz.append(row)
-        s_low = _rank_mod_p(np.array(syz), p, deadline) if syz else 0
+        if syz is None:
+            syz = _koszul_syzygies(forms, slices, j, row_pos, deadline)
+        s_low = _rank_mod_p(syz, p, deadline)
         if r_low + s_low == len(row_keys):
             return r_low
     # sandwich did not close (degenerate forms or unlucky primes)
     return ExactMatrix(A.tolist(), QQ).rank(deadline)
+
+
+def _koszul_syzygies(forms, slices, j: int, row_pos: dict,
+                     deadline: Optional[Deadline] = None) -> np.ndarray:
+    """Koszul syzygy rows, one per (i < k, monomial q of bidegree (j-i-k, 0))."""
+    pairs = [
+        (i, k)
+        for i, k in itertools.combinations(range(1, min(len(forms), j) + 1), 2)
+        if i + k <= j
+    ]
+    S = np.zeros((sum(len(slices[j - i - k]) for i, k in pairs), len(row_pos)),
+                 dtype=np.int64)
+    r = 0
+    for i, k in pairs:
+        if deadline is not None:
+            deadline.check()
+        qi = {u: t for t, u in enumerate(slices[j - i])}
+        qk = {u: t for t, u in enumerate(slices[j - k])}
+        for q in slices[j - i - k]:
+            for ge, gc in forms[k - 1].terms.items():
+                e = tuple(a + b for a, b in zip(q, ge))
+                S[r, row_pos[(i, qi[e])]] += int(gc)
+            for ge, gc in forms[i - 1].terms.items():
+                e = tuple(a + b for a, b in zip(q, ge))
+                S[r, row_pos[(k, qk[e])]] -= int(gc)
+            r += 1
+    return S
 
 
 def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = None,
@@ -241,14 +255,14 @@ class DecompositionReport:
 
 def decomposition_report(m: int, n: int, orbit_cap: int = 11) -> DecompositionReport:
     N = m + n
+    sizes = orbit_decomposition(N, m).sizes if N <= orbit_cap else None
     rows = []
     for d in divisors(N):
         sd = sparse_ci_degree(m, n, d)
         deg = deg_Z_circle(m, n, d)
         orbit_count = orbit_agrees = None
-        if N <= orbit_cap:
-            dec = orbit_decomposition(N, m)
-            orbit_count = sum(1 for o in dec.orbits if len(o) == N // d)
+        if sizes is not None:
+            orbit_count = sizes.count(N // d)
             orbit_agrees = deg == (N // d) * orbit_count
         rows.append(
             DecompositionRow(d, sd.value, sd.empty, deg, orbit_count, orbit_agrees)
@@ -294,8 +308,15 @@ def theorem_matrix(max_total: int, budget_seconds: Optional[float] = None) -> Th
     """Degree agreement grid: Groebner staircase vs intersection number vs Eulerian.
 
     The budget is soft: cells not started before it expires are recorded as
-    timeouts rather than failures.
+    timeouts rather than failures.  It must be finite and non-negative: a NaN
+    budget would never expire.
     """
+    if budget_seconds is not None and not (
+        math.isfinite(budget_seconds) and budget_seconds >= 0
+    ):
+        raise ValueError(
+            f"budget_seconds must be finite and non-negative: {budget_seconds!r}"
+        )
     start = time.monotonic()
     cells = []
     for total in range(2, max_total + 1):

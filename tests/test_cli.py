@@ -75,6 +75,15 @@ class TestCommands:
         code, rep = run_json(capsys, ["gen-eulerian", "--k", "4", "--l", "1", "--d", "5"])
         assert code == 0 and rep["result"] == 1
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_eulerian_past_the_str_digit_limit(self, capsys, fmt):
+        # <n,1> = 2^n - n - 1 has 4516 digits at n = 15000, past Python's
+        # default limit of 4300 digits on int-to-str conversion
+        code = main(["--format", fmt, "eulerian", "--n", "15000", "--k", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert str(2**15000 - 15001) in out
+
     def test_worpitzky(self, capsys):
         code, rep = run_json(capsys, ["worpitzky", "--k", "6"])
         assert code == 0 and rep["agreement"] is True

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -36,6 +37,17 @@ class TestEulerianNumbers:
         for n in range(1, 13):
             for k in range(n):
                 assert eulerian(n, k) == eulerian(n, n - 1 - k)
+
+    def test_deep_rows_do_not_recurse(self):
+        # far past the default recursion limit of 1000
+        v = eulerian(1500, 700)
+        assert v == eulerian(1500, 1500 - 1 - 700)
+        # explicit formula <n,k> = sum_j (-1)^j C(n+1, j) (k+1-j)^n
+        assert v == sum(
+            (-1) ** j * math.comb(1501, j) * (701 - j) ** 1500 for j in range(701)
+        )
+        # with step d = 1 the generalized table is the Eulerian table
+        assert gen_eulerian(1500, 700, 1) == v
 
     def test_ascents(self):
         assert ascents((1, 3, 2)) == 1
@@ -138,6 +150,30 @@ class TestOrbits:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             orbit_decomposition(12, 3)
+
+    def test_matches_set_oracle(self):
+        # orbits built one by one from a set of all members with add_one
+        for N in range(2, 9):
+            for a in range(1, N):
+                pending = {
+                    CircularPermutation((0,) + rest)
+                    for rest in itertools.permutations(range(1, N))
+                }
+                pending = {c for c in pending if c.circular_ascents() == a}
+                orbits = []
+                while pending:
+                    orbit = {min(pending)}
+                    cur = min(pending).add_one()
+                    while cur not in orbit:
+                        orbit.add(cur)
+                        cur = cur.add_one()
+                    pending -= orbit
+                    orbits.append((len(orbit), min(orbit)))
+                orbits.sort()
+                dec = orbit_decomposition(N, a)
+                assert dec.sizes == [size for size, _ in orbits], (N, a)
+                assert dec.representatives == [rep for _, rep in orbits], (N, a)
+                assert dec.total == eulerian(N - 1, a - 1)
 
     def test_orbit_sizes_divide_N(self):
         # circular perms of {0..N-1} with a circular ascents number <N-1, a-1>

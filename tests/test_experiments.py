@@ -1,8 +1,13 @@
+import runpy
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from laurent_eulerian import experiments
 from laurent_eulerian.deadline import Deadline, DeadlineExceeded
-from laurent_eulerian.eulerian import eulerian
+from laurent_eulerian.eulerian import eulerian, orbit_decomposition
 from laurent_eulerian.experiments import (
     GenericFormSet,
     _rank_mod_p,
@@ -83,6 +88,35 @@ class TestGradedDims:
         with pytest.raises(DeadlineExceeded):
             _rank_mod_p(M, 2147483629, Deadline(0))
 
+    def test_matrix_builds_check_the_deadline(self, monkeypatch):
+        class CountingDeadline:
+            calls = 0
+
+            def check(self):
+                self.calls += 1
+
+        ranked = []
+
+        def fake_rank(M, p, deadline=None):
+            # the span matrix gets rank 0, so the syzygy matrix is built and
+            # closes the sandwich; neither elimination checks the deadline
+            ranked.append(M)
+            return 0 if len(ranked) == 1 else M.shape[1]
+
+        monkeypatch.setattr(experiments, "_rank_mod_p", fake_rank)
+        m, n, j = 2, 3, 6
+        forms = GenericFormSet.generate(m, n, 0).forms
+        slices = [slice_monomials(m, n, t).monomials for t in range(j + 1)]
+        index = [{u: t for t, u in enumerate(sl)} for sl in slices]
+        deadline = CountingDeadline()
+        assert experiments._exact_slice_rank(forms, slices, index, j, deadline) == 0
+        A, S = ranked
+        pairs = [(i, k) for i in range(1, 6) for k in range(i + 1, 6) if i + k <= j]
+        # one check per form's row block, one for the prime, one per (i, k) pair
+        assert deadline.calls == 5 + 1 + len(pairs)
+        assert S.shape == (sum(len(slices[j - i - k]) for i, k in pairs), A.shape[0])
+        assert not (S @ A).any()  # Koszul rows are exact left-null vectors
+
     @pytest.mark.slow
     def test_3_3_profile(self):
         r = graded_quotient_dims(3, 3, seed=0)
@@ -115,6 +149,18 @@ class TestDecomposition:
         assert by_d[2].deg_circle == 1
         assert rep.agrees
 
+    def test_orbits_enumerated_once(self, monkeypatch):
+        calls = []
+
+        def counting(N, a, cap=11):
+            calls.append((N, a))
+            return orbit_decomposition(N, a, cap)
+
+        monkeypatch.setattr(experiments, "orbit_decomposition", counting)
+        rep = decomposition_report(5, 5)
+        assert calls == [(10, 5)]
+        assert len(rep.rows) == 4 and rep.agrees
+
     def test_orbit_columns_skipped_above_cap(self):
         rep = decomposition_report(5, 8, orbit_cap=11)
         assert all(r.orbit_count is None for r in rep.rows)
@@ -131,6 +177,20 @@ class TestTheoremMatrix:
             assert c.unit_ideal
             if c.m + c.n > 2:
                 assert c.chow_degree == c.eulerian_value
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+    def test_budget_must_be_finite_and_non_negative(self, budget):
+        with pytest.raises(ValueError):
+            theorem_matrix(4, budget)
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+    def test_script_rejects_bad_budget(self, budget, monkeypatch, capsys):
+        script = Path(__file__).parents[1] / "scripts" / "run_theorem_matrix.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--budget-seconds", budget])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exc.value.code == 2
+        assert "non-negative number of seconds" in capsys.readouterr().err
 
     def test_budget_produces_timeouts_not_failures(self):
         rep = theorem_matrix(6, budget_seconds=0.0)
