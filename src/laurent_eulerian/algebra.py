@@ -187,6 +187,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def _check_compatible(self, other: "MultiPoly"):
         _check_same_field(self.field, other.field)
         if (self.nvars, self.offset) != (other.nvars, other.offset):
@@ -355,12 +358,6 @@ class MultiPoly:
         return f"MultiPoly({self}, window=[{self.offset}, {self.offset + self.nvars - 1}], {self.field!r})"
 
 
-try:
-    from gmpy2 import mpq as _fastq
-except ImportError:  # pragma: no cover
-    _fastq = Fraction
-
-
 class ExactMatrix:
     """Dense matrix over an exact field; rank and solve by Gaussian elimination."""
 
@@ -374,7 +371,7 @@ class ExactMatrix:
 
     def rank(self, deadline: Optional[Deadline] = None) -> int:
         """Rank by elimination; a Deadline, if given, is checked per pivot column."""
-        _, pivots = self._echelon(self._work_rows(), deadline)
+        _, pivots = self._echelon([list(row) for row in self.rows], deadline)
         return len(pivots)
 
     def solve(self, rhs: Sequence[object]):
@@ -384,11 +381,7 @@ class ExactMatrix:
         """
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has wrong length")
-        fld = self.field
-        aug = self._work_rows()
-        extra = [self._to_work(fld.coerce(v)) for v in rhs]
-        for r, v in zip(aug, extra):
-            r.append(v)
+        aug = [row + [self.field.coerce(v)] for row, v in zip(self.rows, rhs)]
         rows, pivots = self._echelon(aug)
         n = self.ncols
         if any(col == n for _, col in pivots):
@@ -396,31 +389,12 @@ class ExactMatrix:
         # RREF with free columns set to zero: each pivot row reads off directly
         x = [self.field.zero] * n
         for row, col in pivots:
-            x[col] = self._from_work(rows[row][n])
+            x[col] = rows[row][n]
         return x
-
-    # -- internals ------------------------------------------------------
-
-    def _uses_fastq(self) -> bool:
-        return self.field == QQ and _fastq is not Fraction
-
-    def _to_work(self, v):
-        if self._uses_fastq():
-            return _fastq(v)
-        return v
-
-    def _from_work(self, v):
-        if self._uses_fastq():
-            return Fraction(int(v.numerator), int(v.denominator))
-        return self.field.coerce(v)
-
-    def _work_rows(self):
-        return [[self._to_work(v) for v in row] for row in self.rows]
 
     def _echelon(self, rows, deadline: Optional[Deadline] = None):
         """Reduced row echelon form in place; returns (rows, [(row, pivot_col)])."""
         fld = self.field
-        fast = self._uses_fastq()
         ncols = len(rows[0]) if rows else 0
         pivots = []
         r = 0
@@ -431,23 +405,14 @@ class ExactMatrix:
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            piv = rows[r][c]
-            if fast:
-                inv = 1 / piv
-                rows[r] = [v * inv for v in rows[r]]
-                for i in range(len(rows)):
-                    if i != r and rows[i][c]:
-                        f = rows[i][c]
-                        rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            else:
-                inv = fld.inv(piv)
-                rows[r] = [fld.mul(v, inv) for v in rows[r]]
-                for i in range(len(rows)):
-                    if i != r and rows[i][c]:
-                        f = rows[i][c]
-                        rows[i] = [
-                            fld.sub(a, fld.mul(f, b)) for a, b in zip(rows[i], rows[r])
-                        ]
+            inv = fld.inv(rows[r][c])
+            rows[r] = [fld.mul(v, inv) for v in rows[r]]
+            for i in range(len(rows)):
+                if i != r and rows[i][c]:
+                    f = rows[i][c]
+                    rows[i] = [
+                        fld.sub(a, fld.mul(f, b)) for a, b in zip(rows[i], rows[r])
+                    ]
             pivots.append((r, c))
             r += 1
             if r == len(rows):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import QQ, ExactMatrix
-from .eulerian import eulerian, gen_eulerian
+from .eulerian import _unipoly_mul, eulerian, gen_eulerian
 
 
 def ray_matrix(m: int, n: int) -> list:
@@ -41,14 +41,6 @@ class DivisorForm:
 
     a: Fraction
     b: Fraction
-
-
-def _bivariate_mul(p: list, q: list) -> list:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
 
 
 class ChowRing:
@@ -118,7 +110,7 @@ class ChowRing:
         """The basis class D_{-i+1} ... D_{j-1} as a bivariate form of degree i+j-1."""
         out = [Fraction(1)]
         for ell in range(-i + 1, j):
-            out = _bivariate_mul(out, self._linear_form(ell))
+            out = _unipoly_mul(out, self._linear_form(ell))
         return tuple(out)
 
     @lru_cache(maxsize=None)
@@ -129,7 +121,7 @@ class ChowRing:
             rng = range(0, self.n + 1)
         out = [Fraction(1)]
         for ell in rng:
-            out = _bivariate_mul(out, self._linear_form(ell))
+            out = _unipoly_mul(out, self._linear_form(ell))
         return tuple(out)
 
     def reduce_to_basis(self, coeffs, k: int) -> dict:

@@ -210,6 +210,222 @@ def _render_text(v):
     return str(v)
 
 
+# Subcommand name -> (help, arguments, run).  An argument is (flag, keyword
+# arguments of add_argument); run(args, report) fills the report after its
+# "command" key.  A run function calls the layer functions through module
+# globals or module attributes, looked up when it runs, so code that rebinds
+# those names (a tracer, a test's monkeypatch) reaches every subcommand.
+COMMANDS: dict = {}
+
+_INT = {"type": int, "required": True}
+WINDOW = (("--m", _INT), ("--n", _INT))
+FIELD = ("--field", {"type": _field_arg, "default": QQ})
+BUDGET = ("--budget-seconds", {"type": _seconds_arg})
+
+
+def _command(name: str, help_text: str, *arguments):
+    def register(run):
+        COMMANDS[name] = (help_text, arguments, run)
+        return run
+    return register
+
+
+@_command("eulerian", "Eulerian number <n, k>", ("--n", _INT), ("--k", _INT))
+def _eulerian(args, report):
+    report["inputs"] = {"n": args.n, "k": args.k}
+    report["result"] = eulerian(args.n, args.k)
+
+
+@_command("gen-eulerian", "generalized Eulerian number with step d",
+          ("--k", _INT), ("--l", _INT), ("--d", _INT))
+def _gen_eulerian(args, report):
+    report["inputs"] = {"k": args.k, "l": args.l, "d": args.d}
+    report["result"] = gen_eulerian(args.k, args.l, args.d)
+
+
+@_command("worpitzky", "exact polynomial identity check", ("--k", _INT))
+def _worpitzky(args, report):
+    ok = worpitzky_check(args.k)
+    report["inputs"] = {"k": args.k}
+    report["result"] = report["agreement"] = ok
+
+
+@_command("mobius", "classical Moebius function", ("--n", _INT))
+def _mobius(args, report):
+    report["inputs"] = {"n": args.n}
+    report["result"] = mobius(args.n)
+
+
+@_command("orbits", "add-1 orbits of circular permutations",
+          ("--size", _INT), ("--ascents", _INT), ("--cap", {"type": int, "default": 11}))
+def _orbits(args, report):
+    dec = orbit_decomposition(args.size, args.ascents, cap=args.cap)
+    expected = eulerian(args.size - 1, args.ascents - 1)
+    report["inputs"] = {"size": args.size, "ascents": args.ascents}
+    report["result"] = {
+        "orbit_sizes": dec.sizes,
+        "representatives": [" ".join(map(str, r.elements)) for r in dec.representatives],
+        "total": dec.total,
+    }
+    report["agreement"] = dec.total == expected
+
+
+@_command("const-terms", "constant terms of powers, both algorithms",
+          ("--poly", {"help": "numeric window Laurent polynomial, e.g. 'z^-1 + z'"}),
+          ("--m", {"type": int}), ("--n", {"type": int}), FIELD, ("--power", _INT))
+def _const_terms(args, report):
+    if args.poly is not None:
+        spec = parse_laurent(args.poly, args.field)
+    elif args.m is None or args.n is None:
+        raise ValueError("const-terms needs --poly, or both --m and --n")
+    else:
+        spec = LaurentSpec(args.m, args.n, field=args.field)
+    a = laurent.constant_term_iterative(spec, args.power).value
+    b = laurent.constant_term_multinomial(spec, args.power).value
+    report["inputs"] = {
+        "poly": args.poly,
+        "m": spec.m,
+        "n": spec.n,
+        "power": args.power,
+        "field": laurent.field_name(spec.field),
+    }
+    report["result"] = str(a) if spec.symbolic else a
+    report["agreement"] = a == b
+
+
+@_command("charp-scan", "first power with nonzero constant term over GF(p)",
+          ("--p", _INT), ("--poly", {"required": True}),
+          ("--max", {"type": int, "default": 64}))
+def _charp_scan(args, report):
+    hit = laurent.charp_scan(parse_laurent(args.poly, PrimeField(args.p)), args.max)
+    report["inputs"] = {"p": args.p, "poly": args.poly, "max": args.max}
+    report["result"] = "none" if hit is None else hit
+
+
+@_command("groebner", "reduced basis of the constant-term ideal",
+          *WINDOW, FIELD,
+          ("--order", {"choices": ("degrevlex", "lex"), "default": "degrevlex"}),
+          ("--max-power", {"type": int}), BUDGET)
+def _groebner(args, report):
+    spec = gb.IdealSpec(args.m, args.n, max_power=args.max_power, field=args.field)
+    order = gb.TermOrder(args.order)
+    report["inputs"] = {
+        "m": args.m,
+        "n": args.n,
+        "order": args.order,
+        "field": laurent.field_name(args.field),
+    }
+    basis = gb.groebner_of_ideal(spec, order, deadline=_deadline(args))
+    report["result"] = [str(g) for g in basis]
+
+
+@_command("degree", "ideal degree vs intersection number vs Eulerian",
+          *WINDOW, FIELD, BUDGET)
+def _degree(args, report):
+    ev = eulerian(args.m + args.n - 1, args.m - 1)
+    report["inputs"] = {"m": args.m, "n": args.n, "field": laurent.field_name(args.field)}
+    g = gb.ideal_quotient_dimension(args.m, args.n, field=args.field,
+                                    deadline=_deadline(args))
+    c = chow.generic_ci_degree(args.m, args.n) if args.m + args.n > 2 else None
+    report["result"] = {"groebner_degree": g, "intersection_degree": c, "eulerian": ev}
+    report["agreement"] = g == ev and (c is None or c == ev)
+
+
+@_command("conjecture-check", "unit-ideal evidence for powers 1..m+n", *WINDOW, BUDGET)
+def _conjecture_check(args, report):
+    report["inputs"] = {"m": args.m, "n": args.n}
+    report["note"] = "finite evidence only; the conjecture itself is open"
+    value = gb.conjecture_unit_check(args.m, args.n, deadline=_deadline(args))
+    report["result"] = report["agreement"] = value
+
+
+@_command("chow-expand", "basis coordinates of k! D_0^k", *WINDOW, ("--k", _INT))
+def _chow_expand(args, report):
+    coords = chow.ChowRing(args.m, args.n).d0_power_expansion(args.k)
+    report["inputs"] = {"m": args.m, "n": args.n, "k": args.k}
+    report["result"] = {f"D_(-{i},{j})": v for (i, j), v in coords.items()}
+    report["agreement"] = all(
+        v == chow.expected_d0_coefficient(args.m, args.n, args.k, i)
+        for (i, j), v in coords.items()
+    )
+
+
+@_command("ci-degree", "degree of the generic complete intersection", *WINDOW)
+def _ci_degree(args, report):
+    v = chow.generic_ci_degree(args.m, args.n)
+    ev = eulerian(args.m + args.n - 1, args.m - 1)
+    report["inputs"] = {"m": args.m, "n": args.n}
+    report["result"] = v
+    report["agreement"] = v == ev
+
+
+@_command("sparse-degree", "degree of the sparse complete intersection",
+          *WINDOW, ("--d", _INT))
+def _sparse_degree(args, report):
+    sd = chow.sparse_ci_degree(args.m, args.n, args.d)
+    report["inputs"] = {"m": args.m, "n": args.n, "d": args.d}
+    report["result"] = "empty" if sd.empty else sd.value
+
+
+@_command("decomposition", "divisor decomposition of the Eulerian number",
+          *WINDOW, ("--orbit-cap", {"type": int, "default": 11}))
+def _decomposition(args, report):
+    rep = experiments.decomposition_report(args.m, args.n, orbit_cap=args.orbit_cap)
+    report["inputs"] = {"m": args.m, "n": args.n}
+    report["result"] = {
+        "rows": [
+            {
+                "d": r.d,
+                "gen_eulerian": r.gen_eulerian_value,
+                "empty": r.empty,
+                "deg_circle": r.deg_circle,
+                "orbit_count": r.orbit_count,
+            }
+            for r in rep.rows
+        ],
+        "total": rep.total,
+        "expected": rep.expected_total,
+    }
+    report["agreement"] = rep.agrees
+
+
+@_command("hilbert-slices", "graded quotient dimensions for generic forms",
+          *WINDOW, ("--seed", {"type": int, "default": 0}), ("--j-max", {"type": int}),
+          BUDGET)
+def _hilbert_slices(args, report):
+    report["inputs"] = {"m": args.m, "n": args.n, "j_max": args.j_max}
+    report["seed"] = args.seed
+    value = experiments.graded_quotient_dims(
+        args.m, args.n, seed=args.seed, j_max=args.j_max, deadline=_deadline(args)
+    )
+    report["result"] = {
+        "dims": list(value.dims),
+        "total": value.total,
+        "seeds_tried": list(value.seeds_tried),
+    }
+    report["agreement"] = value.total == eulerian(args.m + args.n - 1, args.m - 1)
+
+
+@_command("theorem-matrix", "degree-agreement grid over all m+n <= bound",
+          ("--max-total", _INT), BUDGET)
+def _theorem_matrix(args, report):
+    rep = experiments.theorem_matrix(args.max_total, args.budget_seconds)
+    report["inputs"] = {"max_total": args.max_total}
+    report["result"] = [
+        {
+            "m": c.m,
+            "n": c.n,
+            "eulerian": c.eulerian_value,
+            "groebner_degree": c.groebner_degree,
+            "intersection_degree": c.chow_degree,
+            "unit_ideal": c.unit_ideal,
+            "status": "timeout" if c.timeout else "ok",
+        }
+        for c in rep.cells
+    ]
+    report["agreement"] = rep.agrees
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="laurent-eulerian",
@@ -217,314 +433,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def cmd(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        return p
-
-    p = cmd("eulerian", help="Eulerian number <n, k>")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = cmd("gen-eulerian", help="generalized Eulerian number with step d")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-
-    p = cmd("worpitzky", help="exact polynomial identity check")
-    p.add_argument("--k", type=int, required=True)
-
-    p = cmd("mobius", help="classical Moebius function")
-    p.add_argument("--n", type=int, required=True)
-
-    p = cmd("orbits", help="add-1 orbits of circular permutations")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--ascents", type=int, required=True)
-    p.add_argument("--cap", type=int, default=11)
-
-    p = cmd("const-terms", help="constant terms of powers, both algorithms")
-    p.add_argument("--poly", help="numeric window Laurent polynomial, e.g. 'z^-1 + z'")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--field", type=_field_arg, default=QQ)
-    p.add_argument("--power", type=int, required=True)
-
-    p = cmd("charp-scan", help="first power with nonzero constant term over GF(p)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--max", type=int, default=64)
-
-    p = cmd("groebner", help="reduced basis of the constant-term ideal")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--field", type=_field_arg, default=QQ)
-    p.add_argument("--order", choices=("degrevlex", "lex"), default="degrevlex")
-    p.add_argument("--max-power", type=int)
-    p.add_argument("--budget-seconds", type=_seconds_arg)
-
-    p = cmd("degree", help="ideal degree vs intersection number vs Eulerian")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--field", type=_field_arg, default=QQ)
-    p.add_argument("--budget-seconds", type=_seconds_arg)
-
-    p = cmd("conjecture-check", help="unit-ideal evidence for powers 1..m+n")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget-seconds", type=_seconds_arg)
-
-    p = cmd("chow-expand", help="basis coordinates of k! D_0^k")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = cmd("ci-degree", help="degree of the generic complete intersection")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = cmd("sparse-degree", help="degree of the sparse complete intersection")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-
-    p = cmd("decomposition", help="divisor decomposition of the Eulerian number")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--orbit-cap", type=int, default=11)
-
-    p = cmd("hilbert-slices", help="graded quotient dimensions for generic forms")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--j-max", type=int)
-    p.add_argument("--budget-seconds", type=_seconds_arg)
-
-    p = cmd("theorem-matrix", help="degree-agreement grid over all m+n <= bound")
-    p.add_argument("--max-total", type=int, required=True)
-    p.add_argument("--budget-seconds", type=_seconds_arg)
+    for name, (help_text, arguments, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return ap
 
 
-def _poly_str(p) -> str:
-    return str(p)
-
-
 def dispatch(args) -> dict:
-    cmd = args.command
-    if cmd == "eulerian":
-        return {
-            "command": cmd,
-            "inputs": {"n": args.n, "k": args.k},
-            "result": eulerian(args.n, args.k),
-        }
-    if cmd == "gen-eulerian":
-        return {
-            "command": cmd,
-            "inputs": {"k": args.k, "l": args.l, "d": args.d},
-            "result": gen_eulerian(args.k, args.l, args.d),
-        }
-    if cmd == "worpitzky":
-        ok = worpitzky_check(args.k)
-        return {
-            "command": cmd,
-            "inputs": {"k": args.k},
-            "result": ok,
-            "agreement": ok,
-        }
-    if cmd == "mobius":
-        return {"command": cmd, "inputs": {"n": args.n}, "result": mobius(args.n)}
-    if cmd == "orbits":
-        dec = orbit_decomposition(args.size, args.ascents, cap=args.cap)
-        expected = eulerian(args.size - 1, args.ascents - 1)
-        return {
-            "command": cmd,
-            "inputs": {"size": args.size, "ascents": args.ascents},
-            "result": {
-                "orbit_sizes": dec.sizes,
-                "representatives": [
-                    " ".join(map(str, r.elements)) for r in dec.representatives
-                ],
-                "total": dec.total,
-            },
-            "agreement": dec.total == expected,
-        }
-    if cmd == "const-terms":
-        if args.poly is not None:
-            spec = parse_laurent(args.poly, args.field)
-        else:
-            if args.m is None or args.n is None:
-                raise SystemExit(2)
-            spec = LaurentSpec(args.m, args.n, field=args.field)
-        a = laurent.constant_term_iterative(spec, args.power).value
-        b = laurent.constant_term_multinomial(spec, args.power).value
-        return {
-            "command": cmd,
-            "inputs": {
-                "poly": args.poly,
-                "m": spec.m,
-                "n": spec.n,
-                "power": args.power,
-                "field": laurent.field_name(spec.field),
-            },
-            "result": _poly_str(a) if spec.symbolic else _jsonable(a),
-            "agreement": a == b,
-        }
-    if cmd == "charp-scan":
-        spec = parse_laurent(args.poly, PrimeField(args.p))
-        hit = laurent.charp_scan(spec, args.max)
-        return {
-            "command": cmd,
-            "inputs": {"p": args.p, "poly": args.poly, "max": args.max},
-            "result": "none" if hit is None else hit,
-        }
-    if cmd == "groebner":
-        spec = gb.IdealSpec(args.m, args.n, max_power=args.max_power, field=args.field)
-        order = gb.TermOrder(args.order)
-        report = {
-            "command": cmd,
-            "inputs": {
-                "m": args.m,
-                "n": args.n,
-                "order": args.order,
-                "field": laurent.field_name(args.field),
-            },
-        }
-        try:
-            basis = gb.groebner_of_ideal(spec, order, deadline=_deadline(args))
-        except DeadlineExceeded:
-            report["result"] = "timeout"
-            return report
-        report["result"] = [str(g) for g in basis]
-        return report
-    if cmd == "degree":
-        ev = eulerian(args.m + args.n - 1, args.m - 1)
-        report = {
-            "command": cmd,
-            "inputs": {"m": args.m, "n": args.n, "field": laurent.field_name(args.field)},
-        }
-        try:
-            g = gb.ideal_quotient_dimension(
-                args.m, args.n, field=args.field, deadline=_deadline(args)
-            )
-        except DeadlineExceeded:
-            report["result"] = "timeout"
-            return report
-        c = chow.generic_ci_degree(args.m, args.n) if args.m + args.n > 2 else None
-        agreement = g == ev and (c is None or c == ev)
-        report["result"] = {
-            "groebner_degree": g,
-            "intersection_degree": _jsonable(c) if c is not None else None,
-            "eulerian": ev,
-        }
-        report["agreement"] = agreement
-        return report
-    if cmd == "conjecture-check":
-        report = {
-            "command": cmd,
-            "inputs": {"m": args.m, "n": args.n},
-            "note": "finite evidence only; the conjecture itself is open",
-        }
-        try:
-            value = gb.conjecture_unit_check(args.m, args.n, deadline=_deadline(args))
-        except DeadlineExceeded:
-            report["result"] = "timeout"
-            return report
-        report["result"] = value
-        report["agreement"] = value
-        return report
-    if cmd == "chow-expand":
-        ring = chow.ChowRing(args.m, args.n)
-        coords = ring.d0_power_expansion(args.k)
-        agreement = all(
-            v == chow.expected_d0_coefficient(args.m, args.n, args.k, i)
-            for (i, j), v in coords.items()
-        )
-        return {
-            "command": cmd,
-            "inputs": {"m": args.m, "n": args.n, "k": args.k},
-            "result": {f"D_(-{i},{j})": _jsonable(v) for (i, j), v in coords.items()},
-            "agreement": agreement,
-        }
-    if cmd == "ci-degree":
-        v = chow.generic_ci_degree(args.m, args.n)
-        ev = eulerian(args.m + args.n - 1, args.m - 1)
-        return {
-            "command": cmd,
-            "inputs": {"m": args.m, "n": args.n},
-            "result": _jsonable(v),
-            "agreement": v == ev,
-        }
-    if cmd == "sparse-degree":
-        sd = chow.sparse_ci_degree(args.m, args.n, args.d)
-        return {
-            "command": cmd,
-            "inputs": {"m": args.m, "n": args.n, "d": args.d},
-            "result": "empty" if sd.empty else sd.value,
-        }
-    if cmd == "decomposition":
-        rep = experiments.decomposition_report(args.m, args.n, orbit_cap=args.orbit_cap)
-        return {
-            "command": cmd,
-            "inputs": {"m": args.m, "n": args.n},
-            "result": {
-                "rows": [
-                    {
-                        "d": r.d,
-                        "gen_eulerian": r.gen_eulerian_value,
-                        "empty": r.empty,
-                        "deg_circle": r.deg_circle,
-                        "orbit_count": r.orbit_count,
-                    }
-                    for r in rep.rows
-                ],
-                "total": rep.total,
-                "expected": rep.expected_total,
-            },
-            "agreement": rep.agrees,
-        }
-    if cmd == "hilbert-slices":
-        report = {
-            "command": cmd,
-            "inputs": {"m": args.m, "n": args.n, "j_max": args.j_max},
-            "seed": args.seed,
-        }
-        try:
-            value = experiments.graded_quotient_dims(
-                args.m, args.n, seed=args.seed, j_max=args.j_max,
-                deadline=_deadline(args),
-            )
-        except DeadlineExceeded:
-            report["result"] = "timeout"
-            return report
-        report["result"] = {
-            "dims": list(value.dims),
-            "total": value.total,
-            "seeds_tried": list(value.seeds_tried),
-        }
-        report["agreement"] = value.total == eulerian(
-            args.m + args.n - 1, args.m - 1
-        )
-        return report
-    if cmd == "theorem-matrix":
-        rep = experiments.theorem_matrix(args.max_total, args.budget_seconds)
-        return {
-            "command": cmd,
-            "inputs": {"max_total": args.max_total},
-            "result": [
-                {
-                    "m": c.m,
-                    "n": c.n,
-                    "eulerian": c.eulerian_value,
-                    "groebner_degree": c.groebner_degree,
-                    "intersection_degree": c.chow_degree,
-                    "unit_ideal": c.unit_ideal,
-                    "status": "timeout" if c.timeout else "ok",
-                }
-                for c in rep.cells
-            ],
-            "agreement": rep.agrees,
-        }
-    raise SystemExit(2)
+    """The subcommand's report; a run that outlives its budget reports a timeout."""
+    report = {"command": args.command}
+    try:
+        COMMANDS[args.command][2](args, report)
+    except DeadlineExceeded:
+        report["result"] = "timeout"
+    return report
 
 
 def main(argv=None) -> int:
@@ -532,14 +455,10 @@ def main(argv=None) -> int:
     # 4300-digit limit on int-to-str conversion (<1600, 800> already has more)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = dispatch(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError) as err:  # bad input, including ParseError
         print(f"error: {err}", file=sys.stderr)
         return 2
     return _emit(report, args.format)

@@ -213,6 +213,9 @@ def orbit_decomposition(N: int, a: int, cap: int = 11) -> OrbitDecomposition:
         raise ValueError("N must be at least 2")
     if N > cap:
         raise EnumerationCapError(f"N = {N} exceeds the enumeration cap {cap}")
+    if not 1 <= a < N:
+        # every circular permutation of N >= 2 elements has 1..N-1 ascents
+        return OrbitDecomposition(N, a, ())
     orbits = []
     for rest in itertools.permutations(range(1, N)):
         # 0 -> rest[0] is always a circular ascent, rest[-1] -> 0 never is

@@ -255,7 +255,7 @@ class DecompositionReport:
 
 def decomposition_report(m: int, n: int, orbit_cap: int = 11) -> DecompositionReport:
     N = m + n
-    sizes = orbit_decomposition(N, m).sizes if N <= orbit_cap else None
+    sizes = orbit_decomposition(N, m, cap=orbit_cap).sizes if N <= orbit_cap else None
     rows = []
     for d in divisors(N):
         sd = sparse_ci_degree(m, n, d)

@@ -252,38 +252,30 @@ def quotient_dimension(G: GroebnerBasis):
     Returns the exact natural number, or the string "infinite" when some
     variable has no pure power among the leading monomials.
     """
-    lms = G.leading
-    if any(not any(e) for e in lms):
-        return 0  # unit ideal
-    nvars = G.nvars
-    bounds = []
-    for v in range(nvars):
-        pure = [e[v] for e in lms if sum(e) == e[v]]
-        if not pure:
-            return INFINITE
-        bounds.append(min(pure))
-    count = 0
-    for mono in itertools.product(*(range(b) for b in bounds)):
-        if not any(_monomial_divides(lm, mono) for lm in lms):
-            count += 1
-    return count
+    try:
+        return len(staircase_monomials(G))
+    except ValueError:
+        return INFINITE
 
 
 def staircase_monomials(G: GroebnerBasis) -> list:
-    """The monomials outside the leading-term ideal (finite case only)."""
+    """The monomials outside the leading-term ideal, in lexicographic order.
+
+    Raises ValueError when the quotient is infinite-dimensional: some variable
+    has no pure power among the leading monomials.
+    """
     lms = G.leading
-    nvars = G.nvars
     bounds = []
-    for v in range(nvars):
+    for v in range(G.nvars):
         pure = [e[v] for e in lms if sum(e) == e[v]]
         if not pure:
             raise ValueError("quotient is infinite-dimensional")
         bounds.append(min(pure))
-    return sorted(
+    return [
         mono
         for mono in itertools.product(*(range(b) for b in bounds))
         if not any(_monomial_divides(lm, mono) for lm in lms)
-    )
+    ]
 
 
 @dataclass(frozen=True)

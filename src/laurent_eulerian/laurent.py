@@ -12,10 +12,11 @@ the coefficient of z^j is the variable x_j; in numeric mode it is a scalar.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional
 
-from .algebra import QQ, MultiPoly, PrimeField, RationalField
+from .algebra import QQ, MultiPoly, RationalField
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,30 @@ def _check_power(i: int):
         raise ValueError("power must be a positive integer (powers are 1-indexed)")
 
 
+def _times_base(current: dict, base: dict, add, mul, lo: int, hi: int) -> dict:
+    """current * base as exponent -> coefficient, keeping exponents in [lo, hi].
+
+    Coefficients that cancel are dropped.  No product is tested for zero: the
+    coefficients are nonzero elements of a field (or polynomials over one).
+    """
+    out: dict = {}
+    for e1, c1 in current.items():
+        for e2, c2 in base.items():
+            e = e1 + e2
+            if not lo <= e <= hi:
+                continue
+            c = mul(c1, c2)
+            if e in out:
+                s = add(out[e], c)
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+            else:
+                out[e] = c
+    return out
+
+
 def constant_term_iterative(spec: LaurentSpec, i: int) -> ConstantTermResult:
     """z^0 coefficient of the i-th power, by repeated convolution in z.
 
@@ -89,39 +114,21 @@ def constant_term_iterative(spec: LaurentSpec, i: int) -> ConstantTermResult:
     """
     _check_power(i)
     base = spec.z_coefficients()
-    symbolic = spec.symbolic
-    fld = spec.field
-    if symbolic:
-        add = lambda a, b: a + b
-        mul = lambda a, b: a * b
-        is_zero = lambda v: v.is_zero
+    if spec.symbolic:
+        add, mul = operator.add, operator.mul
     else:
-        add, mul = fld.add, fld.mul
-        is_zero = lambda v: not v
+        add, mul = spec.field.add, spec.field.mul
     current = dict(base)
     for step in range(2, i + 1):
+        # what is left must still be cancellable by i - step more factors
         remaining = i - step
-        out: dict = {}
-        for e1, c1 in current.items():
-            for e2, c2 in base.items():
-                e = e1 + e2
-                # e must still be cancellable by `remaining` more factors
-                if not -spec.n * remaining <= e <= spec.m * remaining:
-                    continue
-                c = mul(c1, c2)
-                if e in out:
-                    s = add(out[e], c)
-                    if is_zero(s):
-                        del out[e]
-                    else:
-                        out[e] = s
-                else:
-                    out[e] = c
-        current = out
+        current = _times_base(current, base, add, mul,
+                              -spec.n * remaining, spec.m * remaining)
     value = current.get(0)
     if value is None:
         value = (
-            MultiPoly.zero(spec.m + spec.n + 1, -spec.m, fld) if symbolic else fld.zero
+            MultiPoly.zero(spec.m + spec.n + 1, -spec.m, spec.field)
+            if spec.symbolic else spec.field.zero
         )
     return ConstantTermResult(i, value)
 
@@ -193,18 +200,11 @@ def constant_term_multinomial(spec: LaurentSpec, i: int) -> ConstantTermResult:
         for j in spec.support:
             e = u[j + spec.m]
             if e:
-                c = fld.mul(c, pow_scalar(fld, coeffs[j], e))
+                c = fld.mul(c, fld.coerce(coeffs[j] ** e))
             if not c:
                 break
         total = fld.add(total, c)
     return ConstantTermResult(i, total)
-
-
-def pow_scalar(fld, v, e: int):
-    out = fld.one
-    for _ in range(e):
-        out = fld.mul(out, v)
-    return out
 
 
 def charp_scan(spec: LaurentSpec, i_max: int) -> Optional[int]:
@@ -216,32 +216,17 @@ def charp_scan(spec: LaurentSpec, i_max: int) -> Optional[int]:
         raise ValueError("charp_scan requires numeric coefficients")
     if i_max < 1:
         raise ValueError("i_max must be positive")
-    fld = spec.field
     base = spec.z_coefficients()
     current = dict(base)
     for i in range(1, i_max + 1):
         if i > 1:
-            out: dict = {}
-            for e1, c1 in current.items():
-                for e2, c2 in base.items():
-                    e = e1 + e2
-                    c = fld.mul(c1, c2)
-                    if e in out:
-                        s = fld.add(out[e], c)
-                        if s:
-                            out[e] = s
-                        else:
-                            del out[e]
-                    elif c:
-                        out[e] = c
-            current = out
+            # only exponents that can still return to zero by power i_max
+            remaining = i_max - i
+            current = _times_base(current, base, spec.field.add, spec.field.mul,
+                                  -spec.n * remaining, spec.m * remaining)
         if current.get(0):
             return i
     return None
-
-
-def make_prime_field(p: int) -> PrimeField:
-    return PrimeField(p)
 
 
 def field_name(fld) -> str:

@@ -203,12 +203,18 @@ class TestExitCodes:
         assert rep["command"] == command
         assert rep["result"] == "timeout"
 
-    @pytest.mark.parametrize("budget", ["nan", "-1", "inf"])
-    def test_budget_must_be_finite_and_non_negative(self, capsys, budget):
+    @pytest.mark.parametrize(
+        "argv, budget",
+        [pytest.param(["groebner", "--m", "2", "--n", "2"], b, id=b)
+         for b in ("nan", "-1", "inf")]
+        + [pytest.param(["theorem-matrix", "--max-total", "4"], b, id=f"theorem-matrix-{b}")
+           for b in ("nan", "-1", "inf")],
+    )
+    def test_budget_must_be_finite_and_non_negative(self, capsys, argv, budget):
         with pytest.raises(SystemExit) as exc:
-            main(["groebner", "--m", "2", "--n", "2", "--budget-seconds", budget])
+            main([*argv, "--budget-seconds", budget])
         assert exc.value.code == 2
-        assert "seconds" in capsys.readouterr().err
+        assert "non-negative number of seconds" in capsys.readouterr().err
 
     def test_budget_timeout_off_main_thread(self, capsys):
         argv = ["--format", "json", "hilbert-slices", "--m", "3", "--n", "3",

@@ -151,6 +151,21 @@ class TestOrbits:
         with pytest.raises(EnumerationCapError):
             orbit_decomposition(12, 3)
 
+    def test_empty_ascent_classes_enumerate_nothing(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("permutations enumerated")
+
+        monkeypatch.setattr(itertools, "permutations", no_enumeration)
+        # a circular permutation of N >= 2 elements has 1..N-1 ascents
+        for a in (0, 11):
+            dec = orbit_decomposition(11, a)
+            assert dec.orbits == () and dec.total == 0
+        # the argument checks still come first
+        with pytest.raises(EnumerationCapError):
+            orbit_decomposition(12, 0)
+        with pytest.raises(ValueError):
+            orbit_decomposition(1, 0)
+
     def test_matches_set_oracle(self):
         # orbits built one by one from a set of all members with add_one
         for N in range(2, 9):
