@@ -11,7 +11,7 @@ from .algebra import (
     exact_rank,
 )
 from .deadline import Deadline, DeadlineExceeded
-from .chow import ChowRing, divisor_class, generic_ci_degree, sparse_ci_degree
+from .chow import ChowRing, generic_ci_degree, sparse_ci_degree
 from .eulerian import (
     CircularPermutation,
     deg_Z_circle,
@@ -59,7 +59,6 @@ __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "ChowRing",
-    "divisor_class",
     "generic_ci_degree",
     "sparse_ci_degree",
     "CircularPermutation",

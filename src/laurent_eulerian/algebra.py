@@ -234,8 +234,8 @@ class MultiPoly:
         if not c:
             return MultiPoly.zero(self.nvars, self.offset, self.field)
         mul = self.field.mul
+        # over a field a product of nonzero elements is nonzero
         out = {e: mul(coef, c) for e, coef in self.terms.items()}
-        out = {e: v for e, v in out.items() if v}
         p = MultiPoly.__new__(MultiPoly)
         p.terms, p.nvars, p.offset, p.field = out, self.nvars, self.offset, self.field
         return p
@@ -262,7 +262,7 @@ class MultiPoly:
                         out[e] = s
                     else:
                         del out[e]
-                elif c:
+                else:  # c1, c2 nonzero, so c is too
                     out[e] = c
         p = MultiPoly.__new__(MultiPoly)
         p.terms, p.nvars, p.offset, p.field = out, self.nvars, self.offset, self.field

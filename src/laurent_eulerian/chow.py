@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import QQ, ExactMatrix
 from .eulerian import _unipoly_mul, eulerian, gen_eulerian
@@ -105,7 +104,6 @@ class ChowRing:
             if 0 <= k + 1 - i <= self.n
         ]
 
-    @lru_cache(maxsize=None)
     def _basis_poly(self, i: int, j: int) -> tuple:
         """The basis class D_{-i+1} ... D_{j-1} as a bivariate form of degree i+j-1."""
         out = [Fraction(1)]
@@ -113,7 +111,6 @@ class ChowRing:
             out = _unipoly_mul(out, self._linear_form(ell))
         return tuple(out)
 
-    @lru_cache(maxsize=None)
     def _relation_product(self, which: str) -> tuple:
         if which == "neg":
             rng = range(-self.m, 0)
@@ -162,10 +159,6 @@ class ChowRing:
         """Coefficient of the top basis class in prod_{j=1}^{m+n-1} (j * D_0)."""
         k = self.m + self.n - 1
         return self.d0_power_expansion(k)[(self.m, self.n)]
-
-
-def divisor_class(m: int, n: int, j: int) -> DivisorForm:
-    return ChowRing(m, n).divisor_class(j)
 
 
 def generic_ci_degree(m: int, n: int) -> Fraction:

@@ -1,22 +1,23 @@
 """Command-line surface: every operation behind a subcommand, JSON or text output.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
+3 an unexpected error (a bug; the traceback goes to stderr).
 
-`--budget-seconds` on groebner, degree, conjecture-check and hilbert-slices is
-a cooperative deadline, checked between Buchberger pairs, Hilbert slices and
-pivot columns.  A run that exceeds it reports ``result: timeout`` and exits 0.
-Nothing interrupts the computation from outside, so the budget holds on any
-thread and any OS.  theorem-matrix keeps a soft budget: it only stops cells
-from starting.
+Every `--budget-seconds` (groebner, degree, conjecture-check, hilbert-slices,
+theorem-matrix) is the same cooperative `Deadline`, checked between Buchberger
+pairs, Hilbert slices and pivot columns.  A run that exceeds it reports
+``result: timeout`` and exits 0; theorem-matrix instead marks the cell it cut
+and every later cell ``status: timeout``.  Nothing interrupts the computation
+from outside, so the budget holds on any thread and any OS.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
+import traceback
 from fractions import Fraction
 
 from . import chow, experiments, groebner as gb, laurent
@@ -28,7 +29,7 @@ from .eulerian import (
     worpitzky_check,
 )
 from .algebra import QQ, PrimeField
-from .deadline import Deadline, DeadlineExceeded
+from .deadline import Deadline, DeadlineExceeded, valid_seconds
 from .laurent import LaurentSpec
 
 
@@ -166,7 +167,7 @@ def _field_arg(text: str):
 def _seconds_arg(text: str) -> float:
     """A budget in seconds: finite and non-negative (NaN would never expire)."""
     value = float(text)
-    if not (math.isfinite(value) and value >= 0):
+    if not valid_seconds(value):
         raise argparse.ArgumentTypeError(
             f"not a non-negative number of seconds: {text!r}"
         )
@@ -322,13 +323,15 @@ def _groebner(args, report):
 @_command("degree", "ideal degree vs intersection number vs Eulerian",
           *WINDOW, FIELD, BUDGET)
 def _degree(args, report):
-    ev = eulerian(args.m + args.n - 1, args.m - 1)
     report["inputs"] = {"m": args.m, "n": args.n, "field": laurent.field_name(args.field)}
-    g = gb.ideal_quotient_dimension(args.m, args.n, field=args.field,
-                                    deadline=_deadline(args))
-    c = chow.generic_ci_degree(args.m, args.n) if args.m + args.n > 2 else None
-    report["result"] = {"groebner_degree": g, "intersection_degree": c, "eulerian": ev}
-    report["agreement"] = g == ev and (c is None or c == ev)
+    cell = experiments.degree_cell(args.m, args.n, field=args.field,
+                                   deadline=_deadline(args))
+    report["result"] = {
+        "groebner_degree": cell.groebner_degree,
+        "intersection_degree": cell.chow_degree,
+        "eulerian": cell.eulerian_value,
+    }
+    report["agreement"] = cell.agrees
 
 
 @_command("conjecture-check", "unit-ideal evidence for powers 1..m+n", *WINDOW, BUDGET)
@@ -403,13 +406,16 @@ def _hilbert_slices(args, report):
         "total": value.total,
         "seeds_tried": list(value.seeds_tried),
     }
-    report["agreement"] = value.total == eulerian(args.m + args.n - 1, args.m - 1)
+    # a profile cut below the top slice has no total to compare
+    full = args.j_max is None or args.j_max >= experiments.default_j_max(args.m, args.n)
+    ev = eulerian(args.m + args.n - 1, args.m - 1)
+    report["agreement"] = value.total == ev if full else None
 
 
 @_command("theorem-matrix", "degree-agreement grid over all m+n <= bound",
           ("--max-total", _INT), BUDGET)
 def _theorem_matrix(args, report):
-    rep = experiments.theorem_matrix(args.max_total, args.budget_seconds)
+    rep = experiments.theorem_matrix(args.max_total, _deadline(args))
     report["inputs"] = {"max_total": args.max_total}
     report["result"] = [
         {
@@ -461,6 +467,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as err:  # bad input, including ParseError
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, not a disagreement: keep it off exit code 1
+        traceback.print_exc()
+        return 3
     return _emit(report, args.format)
 
 

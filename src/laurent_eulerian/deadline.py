@@ -9,7 +9,13 @@ holds on any thread and any platform.
 
 from __future__ import annotations
 
+import math
 import time
+
+
+def valid_seconds(seconds: float) -> bool:
+    """A budget is finite and non-negative: a NaN or infinite one never expires."""
+    return math.isfinite(seconds) and seconds >= 0
 
 
 class DeadlineExceeded(Exception):
@@ -23,6 +29,8 @@ class Deadline:
     """A point in time `seconds` from now, on the monotonic clock."""
 
     def __init__(self, seconds: float):
+        if not valid_seconds(seconds):
+            raise ValueError(f"not a finite, non-negative number of seconds: {seconds!r}")
         self.seconds = seconds
         self.expires_at = time.monotonic() + seconds
 

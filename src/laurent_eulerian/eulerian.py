@@ -7,7 +7,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 
 class EnumerationCapError(ValueError):

@@ -4,47 +4,35 @@ Eulerian number, and the graded Hilbert-slice computation with generic forms."""
 from __future__ import annotations
 
 import itertools
-import math
 import random
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .algebra import QQ, ExactMatrix, MultiPoly
 from .chow import generic_ci_degree, sparse_ci_degree
-from .deadline import Deadline
+from .deadline import Deadline, DeadlineExceeded
 from .eulerian import divisors, eulerian, deg_Z_circle, orbit_decomposition
-from .groebner import (
-    INFINITE,
-    IdealSpec,
-    conjecture_unit_check,
-    ideal_quotient_dimension,
-)
+from .groebner import conjecture_unit_check, ideal_quotient_dimension
 from .laurent import weight_zero_exponents
 
-
-@dataclass(frozen=True)
-class SliceBasis:
-    """Monomials of bidegree (j, 0) on the chosen support, in lexicographic order."""
-
-    m: int
-    n: int
-    j: int
-    monomials: tuple
+# generic form coefficients are drawn uniformly from [-_COEFF_BOUND, _COEFF_BOUND]
+_COEFF_BOUND = 10**6
+# seeds tried by graded_quotient_dims before it reports a degenerate profile
+_MAX_SEEDS = 5
 
 
-def slice_monomials(m: int, n: int, j: int, support=None) -> SliceBasis:
+def slice_monomials(m: int, n: int, j: int) -> tuple:
+    """Monomials of bidegree (j, 0), in lexicographic order."""
     if j < 0:
         raise ValueError("degree must be a natural number")
-    monos = tuple(weight_zero_exponents(m, n, j, support))
-    return SliceBasis(m, n, j, monos)
+    return tuple(weight_zero_exponents(m, n, j))
 
 
 @dataclass(frozen=True)
 class GenericFormSet:
-    """Seeded random forms g_1..g_count, g_j supported on the degree-(j,0) slice."""
+    """Seeded random forms g_1..g_{m+n}, g_j supported on the degree-(j,0) slice."""
 
     m: int
     n: int
@@ -52,17 +40,14 @@ class GenericFormSet:
     forms: tuple
 
     @classmethod
-    def generate(cls, m: int, n: int, seed: int, count: Optional[int] = None,
-                 support=None, coeff_bound: int = 10**6) -> "GenericFormSet":
-        if count is None:
-            count = m + n
+    def generate(cls, m: int, n: int, seed: int) -> "GenericFormSet":
         rng = random.Random(seed)
         nvars = m + n + 1
         forms = []
-        for j in range(1, count + 1):
+        for j in range(1, m + n + 1):
             terms = {}
-            for u in weight_zero_exponents(m, n, j, support):
-                terms[u] = rng.randint(-coeff_bound, coeff_bound)
+            for u in weight_zero_exponents(m, n, j):
+                terms[u] = rng.randint(-_COEFF_BOUND, _COEFF_BOUND)
             forms.append(MultiPoly(terms, nvars, -m, QQ))
         return cls(m, n, seed, tuple(forms))
 
@@ -187,15 +172,15 @@ def _koszul_syzygies(forms, slices, j: int, row_pos: dict,
 
 
 def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = None,
-                         max_retries: int = 5,
                          deadline: Optional[Deadline] = None) -> GradedDims:
     """Dimension of each bidegree-(j, 0) slice of the quotient by m+n generic forms.
 
     Slice j of the ideal is spanned by q * g_i with q running over slice j-i;
     the quotient dimension is the slice dimension minus the exact rank of that
     span.  A degenerate seed (total above the Eulerian bound) is retried with
-    the next seed and all tried seeds are reported.  A deadline is checked once
-    per slice, once per prime, and once per pivot column of every elimination.
+    the next seed, up to _MAX_SEEDS seeds, and all tried seeds are reported.  A
+    deadline is checked once per slice, once per prime, and once per pivot
+    column of every elimination.
     """
     if j_max is None:
         j_max = default_j_max(m, n)
@@ -205,7 +190,7 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     # slice j needs slices 0..j only; each is enumerated in its own step so the
     # per-slice deadline check bounds the enumeration too
     slices, index = [], []
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_SEEDS):
         s = seed + attempt
         tried.append(s)
         forms = GenericFormSet.generate(m, n, s)
@@ -214,7 +199,7 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
             if deadline is not None:
                 deadline.check()
             if j == len(slices):
-                slices.append(slice_monomials(m, n, j).monomials)
+                slices.append(slice_monomials(m, n, j))
                 index.append({u: t for t, u in enumerate(slices[j])})
             rank = _exact_slice_rank(forms.forms, slices, index, j, deadline)
             dims.append(len(slices[j]) - rank)
@@ -304,35 +289,42 @@ class TheoremMatrixReport:
         return all(c.agrees is not False for c in self.cells)
 
 
-def theorem_matrix(max_total: int, budget_seconds: Optional[float] = None) -> TheoremMatrixReport:
-    """Degree agreement grid: Groebner staircase vs intersection number vs Eulerian.
+def degree_cell(m: int, n: int, field=QQ,
+                deadline: Optional[Deadline] = None) -> TheoremCell:
+    """The degree of I_{m,n} three ways: Groebner staircase, intersection
+    number and Eulerian number; the unit-ideal check is left out (None)."""
+    ev = eulerian(m + n - 1, m - 1)
+    gdeg = ideal_quotient_dimension(m, n, field=field, deadline=deadline)
+    cdeg = None
+    if m + n > 2:
+        v = generic_ci_degree(m, n)
+        if v.denominator != 1:
+            raise RuntimeError(f"non-integral intersection number {v}")
+        cdeg = int(v)
+    return TheoremCell(m, n, ev, gdeg, cdeg, None)
 
-    The budget is soft: cells not started before it expires are recorded as
-    timeouts rather than failures.  It must be finite and non-negative: a NaN
-    budget would never expire.
+
+def theorem_matrix(max_total: int,
+                   deadline: Optional[Deadline] = None) -> TheoremMatrixReport:
+    """Degree agreement grid: Groebner staircase vs intersection number vs
+    Eulerian, plus the unit-ideal check, for every window with m+n <= max_total.
+
+    The deadline is shared by all cells.  The cell it cuts and every later
+    cell are recorded as timeouts, with no partial results, not as failures.
     """
-    if budget_seconds is not None and not (
-        math.isfinite(budget_seconds) and budget_seconds >= 0
-    ):
-        raise ValueError(
-            f"budget_seconds must be finite and non-negative: {budget_seconds!r}"
-        )
-    start = time.monotonic()
     cells = []
+    expired = False
     for total in range(2, max_total + 1):
         for m in range(1, total):
             n = total - m
+            if not expired:
+                try:
+                    cell = degree_cell(m, n, deadline=deadline)
+                    unit = conjecture_unit_check(m, n, deadline=deadline)
+                    cells.append(replace(cell, unit_ideal=unit))
+                    continue
+                except DeadlineExceeded:
+                    expired = True
             ev = eulerian(total - 1, m - 1)
-            if budget_seconds is not None and time.monotonic() - start > budget_seconds:
-                cells.append(TheoremCell(m, n, ev, None, None, None, timeout=True))
-                continue
-            gdeg = ideal_quotient_dimension(m, n)
-            cdeg = None
-            if total > 2:
-                v = generic_ci_degree(m, n)
-                if v.denominator != 1:
-                    raise RuntimeError(f"non-integral intersection number {v}")
-                cdeg = int(v)
-            unit = conjecture_unit_check(m, n)
-            cells.append(TheoremCell(m, n, ev, gdeg, cdeg, unit))
+            cells.append(TheoremCell(m, n, ev, None, None, None, timeout=True))
     return TheoremMatrixReport(max_total, tuple(cells))

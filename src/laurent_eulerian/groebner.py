@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -114,6 +116,15 @@ class TestGradedReduction:
 
 
 class TestDegrees:
+    def test_used_ring_can_be_collected(self):
+        # no method cache keeps a used ring (and its memory) alive for the process
+        R = ChowRing(3, 3)
+        assert R.generic_ci_degree() == 66
+        ring = weakref.ref(R)
+        del R
+        gc.collect()
+        assert ring() is None
+
     def test_generic_ci_degree_examples(self):
         assert generic_ci_degree(2, 3) == 11
         assert generic_ci_degree(2, 2) == 4

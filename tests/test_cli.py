@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from laurent_eulerian import experiments
 from laurent_eulerian.cli import (
     ParseError,
     main,
@@ -165,6 +166,42 @@ class TestCommands:
         assert rep["result"]["total"] == 4
         assert rep["agreement"] is True
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_truncated_hilbert_profile_has_no_agreement(self, capsys, fmt):
+        # slices 0..3 of (2, 3) total 4 of the 11 the full profile reaches
+        argv = ["hilbert-slices", "--m", "2", "--n", "3", "--seed", "3", "--j-max", "3"]
+        code = main(["--format", fmt, *argv])
+        out = capsys.readouterr().out
+        assert code == 0
+        if fmt == "json":
+            rep = json.loads(out)
+            assert rep["result"]["dims"] == [1, 0, 1, 2]
+            assert rep["agreement"] is None
+        else:
+            assert "agreement: None" in out
+
+    def test_full_hilbert_profile_keeps_its_agreement(self, capsys):
+        code, rep = run_json(
+            capsys, ["hilbert-slices", "--m", "2", "--n", "3", "--seed", "3", "--j-max", "9"]
+        )
+        assert code == 0
+        assert rep["result"]["total"] == 11
+        assert rep["agreement"] is True
+
+    def test_degree_reports_the_degree_cell(self, capsys, monkeypatch):
+        def cell(m, n, field, deadline=None):
+            return experiments.TheoremCell(m, n, 11, "infinite", 11, None)
+
+        monkeypatch.setattr(experiments, "degree_cell", cell)
+        code, rep = run_json(capsys, ["degree", "--m", "2", "--n", "3"])
+        assert code == 1
+        assert rep["result"] == {
+            "groebner_degree": "infinite",
+            "intersection_degree": 11,
+            "eulerian": 11,
+        }
+        assert rep["agreement"] is False
+
     def test_theorem_matrix(self, capsys):
         code, rep = run_json(capsys, ["theorem-matrix", "--max-total", "4"])
         assert code == 0
@@ -227,6 +264,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert codes == [0], captured.err
         assert json.loads(captured.out)["result"] == "timeout"
+
+    @pytest.mark.parametrize("error", [RuntimeError, RecursionError])
+    def test_unexpected_error_is_3(self, capsys, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("broken layer")
+
+        monkeypatch.setattr(experiments, "decomposition_report", broken)
+        assert main(["decomposition", "--m", "2", "--n", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err
+        assert f"{error.__name__}: broken layer" in captured.err
 
     def test_json_schema_keys(self, capsys):
         _, rep = run_json(capsys, ["degree", "--m", "1", "--n", "2"])

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from laurent_eulerian import experiments
+from laurent_eulerian.algebra import PrimeField
 from laurent_eulerian.deadline import Deadline, DeadlineExceeded
 from laurent_eulerian.eulerian import eulerian, orbit_decomposition
 from laurent_eulerian.experiments import (
@@ -9,6 +12,7 @@ from laurent_eulerian.experiments import (
     _rank_mod_p,
     decomposition_report,
     default_j_max,
+    degree_cell,
     graded_quotient_dims,
     slice_monomials,
     theorem_matrix,
@@ -18,21 +22,18 @@ from laurent_eulerian.experiments import (
 class TestSlices:
     def test_degree_one_slice(self):
         # only x_0 has bidegree (1, 0)
-        sb = slice_monomials(2, 3, 1)
-        assert sb.monomials == ((0, 0, 1, 0, 0, 0),)
+        assert slice_monomials(2, 3, 1) == ((0, 0, 1, 0, 0, 0),)
 
     def test_degree_zero_slice(self):
-        sb = slice_monomials(1, 1, 0)
-        assert sb.monomials == ((0, 0, 0),)
+        assert slice_monomials(1, 1, 0) == ((0, 0, 0),)
 
     def test_degree_two_slice(self):
         # x_0^2 and x_{-1} x_1 for the symmetric window (1, 1)
-        sb = slice_monomials(1, 1, 2)
-        assert set(sb.monomials) == {(0, 2, 0), (1, 0, 1)}
+        assert set(slice_monomials(1, 1, 2)) == {(0, 2, 0), (1, 0, 1)}
 
     def test_slice_sizes_grow_with_window(self):
-        small = len(slice_monomials(1, 2, 4).monomials)
-        big = len(slice_monomials(2, 3, 4).monomials)
+        small = len(slice_monomials(1, 2, 4))
+        big = len(slice_monomials(2, 3, 4))
         assert small < big
 
 
@@ -102,7 +103,7 @@ class TestGradedDims:
         monkeypatch.setattr(experiments, "_rank_mod_p", fake_rank)
         m, n, j = 2, 3, 6
         forms = GenericFormSet.generate(m, n, 0).forms
-        slices = [slice_monomials(m, n, t).monomials for t in range(j + 1)]
+        slices = [slice_monomials(m, n, t) for t in range(j + 1)]
         index = [{u: t for t, u in enumerate(sl)} for sl in slices]
         deadline = CountingDeadline()
         assert experiments._exact_slice_rank(forms, slices, index, j, deadline) == 0
@@ -179,6 +180,51 @@ class TestDecomposition:
         assert rep.agrees
 
 
+class ExpiresAfter:
+    """A deadline that expires at its (k+1)-th check."""
+
+    def __init__(self, k):
+        self.left = k
+
+    def check(self):
+        if self.left == 0:
+            raise DeadlineExceeded("stub deadline")
+        self.left -= 1
+
+
+class TestDegreeCell:
+    def test_three_routes_agree(self):
+        cell = degree_cell(2, 3)
+        assert (cell.groebner_degree, cell.chow_degree, cell.eulerian_value) == (11, 11, 11)
+        assert cell.unit_ideal is None and not cell.timeout
+        assert cell.agrees is True
+
+    def test_smallest_window_has_no_intersection_number(self):
+        cell = degree_cell(1, 1)
+        assert cell.chow_degree is None
+        assert cell.groebner_degree == cell.eulerian_value == 1
+
+    def test_field_reaches_the_groebner_degree(self, monkeypatch):
+        seen = []
+
+        def spy(m, n, field, deadline=None):
+            seen.append(field)
+            return 11
+
+        monkeypatch.setattr(experiments, "ideal_quotient_dimension", spy)
+        assert degree_cell(2, 3, field=PrimeField(2)).agrees
+        assert seen == [PrimeField(2)]
+
+    def test_non_integral_intersection_number_raises(self, monkeypatch):
+        monkeypatch.setattr(experiments, "generic_ci_degree", lambda m, n: Fraction(1, 2))
+        with pytest.raises(RuntimeError, match="non-integral"):
+            degree_cell(2, 3)
+
+    def test_expired_deadline_raises(self):
+        with pytest.raises(DeadlineExceeded):
+            degree_cell(2, 3, deadline=Deadline(0))
+
+
 class TestTheoremMatrix:
     def test_through_total_5(self):
         rep = theorem_matrix(5)
@@ -192,10 +238,24 @@ class TestTheoremMatrix:
 
     @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
     def test_budget_must_be_finite_and_non_negative(self, budget):
+        # a NaN deadline would never expire, and the budget would be lost
         with pytest.raises(ValueError):
-            theorem_matrix(4, budget)
+            Deadline(budget)
 
     def test_budget_produces_timeouts_not_failures(self):
-        rep = theorem_matrix(6, budget_seconds=0.0)
+        rep = theorem_matrix(6, Deadline(0.0))
         assert all(c.timeout for c in rep.cells)
+        assert rep.agrees
+
+    @pytest.mark.parametrize("k", [40, 200, 600])  # the full grid makes 674 checks
+    def test_cut_cell_and_every_later_cell_time_out(self, k):
+        rep = theorem_matrix(5, ExpiresAfter(k))
+        status = [c.timeout for c in rep.cells]
+        cut = status.index(True)
+        assert 0 < cut and all(status[cut:])
+        for c in rep.cells[:cut]:
+            assert c.agrees is True and c.unit_ideal is True
+        for c in rep.cells[cut:]:
+            assert (c.groebner_degree, c.chow_degree, c.unit_ideal) == (None, None, None)
+            assert c.eulerian_value == eulerian(c.m + c.n - 1, c.m - 1)
         assert rep.agrees
