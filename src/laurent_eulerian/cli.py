@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 
 Every `--budget-seconds` (groebner, degree, conjecture-check, hilbert-slices,
 theorem-matrix) is the same cooperative `Deadline`, checked between Buchberger
-pairs, Hilbert slices and pivot columns.  A run that exceeds it reports
+pairs, inside polynomial reductions, between Hilbert slices and at pivot
+columns.  A run that exceeds it reports
 ``result: timeout`` and exits 0; theorem-matrix instead marks the cell it cut
 and every later cell ``status: timeout``.  Nothing interrupts the computation
 from outside, so the budget holds on any thread and any OS.
@@ -172,6 +173,17 @@ def _seconds_arg(text: str) -> float:
             f"not a non-negative number of seconds: {text!r}"
         )
     return value
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _deadline(args):
@@ -393,8 +405,8 @@ def _decomposition(args, report):
 
 
 @_command("hilbert-slices", "graded quotient dimensions for generic forms",
-          *WINDOW, ("--seed", {"type": int, "default": 0}), ("--j-max", {"type": int}),
-          BUDGET)
+          *WINDOW, ("--seed", {"type": int, "default": 0}),
+          ("--j-max", {"type": _int_at_least(0)}), BUDGET)
 def _hilbert_slices(args, report):
     report["inputs"] = {"m": args.m, "n": args.n, "j_max": args.j_max}
     report["seed"] = args.seed
@@ -413,7 +425,7 @@ def _hilbert_slices(args, report):
 
 
 @_command("theorem-matrix", "degree-agreement grid over all m+n <= bound",
-          ("--max-total", _INT), BUDGET)
+          ("--max-total", {"type": _int_at_least(2), "required": True}), BUDGET)
 def _theorem_matrix(args, report):
     rep = experiments.theorem_matrix(args.max_total, _deadline(args))
     report["inputs"] = {"max_total": args.max_total}

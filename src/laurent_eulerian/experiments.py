@@ -72,10 +72,16 @@ def default_j_max(m: int, n: int) -> int:
 _RANK_PRIMES = (2147483629, 2147482801, 2147482583)
 
 
-def _rank_mod_p(M: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> int:
-    """Row-echelon rank of an int64 matrix modulo a 31-bit prime."""
-    A = np.mod(M, p, dtype=np.int64)
+def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> np.ndarray:
+    """Row-echelon form of an int64 matrix modulo a 31-bit prime, in place.
+
+    A is overwritten.  Returns the original indices of the pivot rows: they
+    are linearly independent mod p, every other row lies in their span, and
+    their number is the rank mod p.
+    """
+    np.mod(A, p, out=A)
     nrows, ncols = A.shape
+    perm = np.arange(nrows)
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -89,6 +95,7 @@ def _rank_mod_p(M: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> i
         pr = r + int(nz[0])
         if pr != r:
             A[[r, pr]] = A[[pr, r]]
+            perm[[r, pr]] = perm[[pr, r]]
         inv = pow(int(A[r, c]), -1, p)
         A[r, c:] = A[r, c:] * inv % p
         below = A[r + 1 :, c]
@@ -97,27 +104,17 @@ def _rank_mod_p(M: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> i
             rows = np.nonzero(mask)[0] + r + 1
             A[rows, c:] = (A[rows, c:] - below[mask, None] * A[r, c:]) % p
         r += 1
-    return r
+    return perm[:r]
 
 
-def _exact_slice_rank(forms, slices, index, j: int, deadline: Optional[Deadline] = None):
-    """Certified exact QQ-rank of the degree-j ideal-slice span.
-
-    Lower bound: rank mod p (a nonzero minor mod p is nonzero over QQ).
-    Upper bound: the Koszul relations g_k*(q*g_i) - g_i*(q*g_k) = 0 are exact
-    left-null vectors of the span matrix; their mod-p rank certifies a
-    left-nullity lower bound, hence a rank upper bound.  When the two bounds
-    meet the rank is pinned; otherwise fall back to exact elimination.
-    """
-    target = index[j]
+def _span_matrix(forms, slices, index, j: int,
+                 deadline: Optional[Deadline] = None) -> np.ndarray:
+    """Span matrix of slice j: row (i, t) holds q*g_i for the t-th monomial q
+    of slice j-i, rows ordered by i then t, columns indexed by slice j."""
     top = min(len(forms), j)
-    row_keys = [(i, t) for i in range(1, top + 1) for t in range(len(slices[j - i]))]
-    if not row_keys or not target:
-        return 0
-    row_pos = {k: t for t, k in enumerate(row_keys)}
-
-    # span matrix: row (i, t) holds q*g_i for the t-th monomial q of slice j-i
-    A = np.zeros((len(row_keys), len(target)), dtype=np.int64)
+    target = index[j]
+    A = np.zeros((sum(len(slices[j - i]) for i in range(1, top + 1)), len(target)),
+                 dtype=np.int64)
     r = 0
     for i in range(1, top + 1):
         if deadline is not None:
@@ -127,46 +124,73 @@ def _exact_slice_rank(forms, slices, index, j: int, deadline: Optional[Deadline]
                 e = tuple(a + b for a, b in zip(q, ge))
                 A[r, target[e]] += int(gc)
             r += 1
+    return A
 
-    syz = None
+
+def _exact_slice_rank(forms, slices, index, j: int, deadline: Optional[Deadline] = None):
+    """Certified exact QQ-rank of the degree-j ideal-slice span A.
+
+    Per prime p, let P be the pivot rows of A mod p, r_low = |P|, and N the
+    other rows.  Lower bound: the pivot rows hold a minor that is nonzero mod
+    p, hence nonzero over QQ, so rank_QQ(A) >= r_low.  When r_low equals
+    min(nrows, ncols) the rank is pinned by size.  Upper bound: the Koszul
+    relations g_k*(q*g_i) - g_i*(q*g_k) = 0 give a matrix S of exact left-null
+    vectors of A, so rank_QQ(A) <= nrows - rank_QQ(S).  Only the columns of S
+    in N are built, as S_N; a column submatrix has no larger rank, and a mod-p
+    rank no larger than the QQ rank, so rank_QQ(S) >= rank_QQ(S_N) >=
+    rank_p(S_N).  If rank_p(S_N) = |N| = nrows - r_low, then rank_QQ(A) <= r_low
+    and the rank is pinned.  If no prime pins it, fall back to exact
+    elimination.  Each matrix is built afresh for the elimination that
+    overwrites it.
+    """
+    top = min(len(forms), j)
+    row_keys = [(i, t) for i in range(1, top + 1) for t in range(len(slices[j - i]))]
+    if not row_keys or not index[j]:
+        return 0
+    nrows = len(row_keys)
     for p in _RANK_PRIMES:
         if deadline is not None:
             deadline.check()
-        r_low = _rank_mod_p(A, p, deadline)
-        if r_low == len(row_keys):
+        pivots = _rank_mod_p(_span_matrix(forms, slices, index, j, deadline), p, deadline)
+        r_low = len(pivots)
+        if r_low == min(nrows, len(index[j])):
             return r_low
-        if syz is None:
-            syz = _koszul_syzygies(forms, slices, j, row_pos, deadline)
-        s_low = _rank_mod_p(syz, p, deadline)
-        if r_low + s_low == len(row_keys):
+        free = np.ones(nrows, dtype=bool)
+        free[pivots] = False
+        cols = {row_keys[k]: c for c, k in enumerate(np.nonzero(free)[0])}
+        S = _koszul_syzygies(forms, slices, index, j, cols, deadline)
+        if len(_rank_mod_p(S, p, deadline)) == len(cols):
             return r_low
     # sandwich did not close (degenerate forms or unlucky primes)
+    A = _span_matrix(forms, slices, index, j, deadline)
     return ExactMatrix(A.tolist(), QQ).rank(deadline)
 
 
-def _koszul_syzygies(forms, slices, j: int, row_pos: dict,
+def _koszul_syzygies(forms, slices, index, j: int, cols: dict,
                      deadline: Optional[Deadline] = None) -> np.ndarray:
-    """Koszul syzygy rows, one per (i < k, monomial q of bidegree (j-i-k, 0))."""
+    """Koszul syzygy rows, one per (i < k, monomial q of bidegree (j-i-k, 0)),
+    restricted to the span rows (i, t) that cols maps to a column."""
     pairs = [
         (i, k)
         for i, k in itertools.combinations(range(1, min(len(forms), j) + 1), 2)
         if i + k <= j
     ]
-    S = np.zeros((sum(len(slices[j - i - k]) for i, k in pairs), len(row_pos)),
+    S = np.zeros((sum(len(slices[j - i - k]) for i, k in pairs), len(cols)),
                  dtype=np.int64)
     r = 0
     for i, k in pairs:
         if deadline is not None:
             deadline.check()
-        qi = {u: t for t, u in enumerate(slices[j - i])}
-        qk = {u: t for t, u in enumerate(slices[j - k])}
+        qi, qk = index[j - i], index[j - k]
         for q in slices[j - i - k]:
             for ge, gc in forms[k - 1].terms.items():
-                e = tuple(a + b for a, b in zip(q, ge))
-                S[r, row_pos[(i, qi[e])]] += int(gc)
+                c = cols.get((i, qi[tuple(a + b for a, b in zip(q, ge))]))
+                if c is not None:
+                    S[r, c] += int(gc)
             for ge, gc in forms[i - 1].terms.items():
-                e = tuple(a + b for a, b in zip(q, ge))
-                S[r, row_pos[(k, qk[e])]] -= int(gc)
+                c = cols.get((k, qk[tuple(a + b for a, b in zip(q, ge))]))
+                if c is not None:
+                    S[r, c] -= int(gc)
             r += 1
     return S
 

@@ -100,13 +100,25 @@ def leading_term(p: MultiPoly, order: TermOrder):
     return e, p.terms[e]
 
 
-def _reduce(p: MultiPoly, reducers, lms, order_key, field) -> MultiPoly:
-    """Full normal form of p modulo the reducers (tail reduction included)."""
+# _reduce checks its deadline once per this many popped work terms
+_REDUCE_CHECK_EVERY = 8
+
+
+def _reduce(p: MultiPoly, reducers, lms, order_key, field,
+            deadline: Optional[Deadline] = None) -> MultiPoly:
+    """Full normal form of p modulo the reducers (tail reduction included).
+
+    A deadline is checked once per _REDUCE_CHECK_EVERY popped work terms.
+    """
     nvars, offset = p.nvars, p.offset
     remainder: dict = {}
     work = dict(p.terms)
-    add, sub, mul, div = field.add, field.sub, field.mul, field.div
+    sub, mul, div = field.sub, field.mul, field.div
+    popped = 0
     while work:
+        popped += 1
+        if deadline is not None and popped % _REDUCE_CHECK_EVERY == 0:
+            deadline.check()
         e = max(work, key=order_key)
         c = work.pop(e)
         for g, lm in zip(reducers, lms):
@@ -161,7 +173,8 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
 
     Normal (degree-minimal) pair selection with the product and chain criteria;
     ties broken by generator index, so the result is deterministic.  A deadline
-    is checked once per popped pair and once per element interreduced.
+    is checked once per popped pair, once per element interreduced, and inside
+    every reduction (see _reduce).
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
@@ -209,7 +222,7 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
         if skip:
             continue
         s = s_polynomial(basis[i], basis[j], order)
-        r = _reduce(s, basis, lms, key, field) if not s.is_zero else s
+        r = _reduce(s, basis, lms, key, field, deadline) if not s.is_zero else s
         if r.is_zero:
             continue
         r = _make_primitive(r)
@@ -236,7 +249,7 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
             deadline.check()
         others = minimal[:t] + minimal[t + 1 :]
         olms = [max(h.terms, key=key) for h in others]
-        r = _reduce(g, others, olms, key, field) if others else g
+        r = _reduce(g, others, olms, key, field, deadline) if others else g
         lc = r.terms[max(r.terms, key=key)]
         reduced.append(r.scale(field.inv(lc)))
     reduced.sort(key=lambda g: key(max(g.terms, key=key)))

@@ -253,6 +253,23 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "non-negative number of seconds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [pytest.param(["hilbert-slices", "--m", "2", "--n", "3", "--j-max", "-1"],
+                      "--j-max", id="j-max--1"),
+         pytest.param(["theorem-matrix", "--max-total", "1"], "--max-total",
+                      id="max-total-1")],
+    )
+    def test_bound_that_checks_nothing_is_a_usage_error(self, capsys, fmt, argv, flag):
+        # an empty profile or grid would otherwise read as a pass
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", fmt, *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be at least" in captured.err
+
     def test_budget_timeout_off_main_thread(self, capsys):
         argv = ["--format", "json", "hilbert-slices", "--m", "3", "--n", "3",
                 "--budget-seconds", "0.05"]

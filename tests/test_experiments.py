@@ -1,15 +1,20 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from laurent_eulerian import experiments
-from laurent_eulerian.algebra import PrimeField
+from laurent_eulerian.algebra import QQ, ExactMatrix, PrimeField
 from laurent_eulerian.deadline import Deadline, DeadlineExceeded
 from laurent_eulerian.eulerian import eulerian, orbit_decomposition
 from laurent_eulerian.experiments import (
+    _RANK_PRIMES,
     GenericFormSet,
+    _exact_slice_rank,
     _rank_mod_p,
+    _span_matrix,
     decomposition_report,
     default_j_max,
     degree_cell,
@@ -81,7 +86,7 @@ class TestGradedDims:
 
     def test_rank_mod_p_checks_deadline(self):
         M = np.eye(4, dtype=np.int64)
-        assert _rank_mod_p(M, 2147483629, Deadline(3600)) == 4
+        assert len(_rank_mod_p(M, 2147483629, Deadline(3600))) == 4
         with pytest.raises(DeadlineExceeded):
             _rank_mod_p(M, 2147483629, Deadline(0))
 
@@ -95,10 +100,12 @@ class TestGradedDims:
         ranked = []
 
         def fake_rank(M, p, deadline=None):
-            # the span matrix gets rank 0, so the syzygy matrix is built and
-            # closes the sandwich; neither elimination checks the deadline
+            # the span matrix gets no pivot rows, so the syzygy matrix is built
+            # on every row and closes the sandwich; neither elimination checks
+            # the deadline
             ranked.append(M)
-            return 0 if len(ranked) == 1 else M.shape[1]
+            n_pivots = 0 if len(ranked) == 1 else M.shape[1]
+            return np.arange(n_pivots)
 
         monkeypatch.setattr(experiments, "_rank_mod_p", fake_rank)
         m, n, j = 2, 3, 6
@@ -109,16 +116,116 @@ class TestGradedDims:
         assert experiments._exact_slice_rank(forms, slices, index, j, deadline) == 0
         A, S = ranked
         pairs = [(i, k) for i in range(1, 6) for k in range(i + 1, 6) if i + k <= j]
-        # one check per form's row block, one for the prime, one per (i, k) pair
-        assert deadline.calls == 5 + 1 + len(pairs)
+        # one check for the prime, one per form's row block, one per (i, k) pair
+        assert deadline.calls == 1 + 5 + len(pairs)
         assert S.shape == (sum(len(slices[j - i - k]) for i, k in pairs), A.shape[0])
         assert not (S @ A).any()  # Koszul rows are exact left-null vectors
 
-    @pytest.mark.slow
     def test_3_3_profile(self):
         r = graded_quotient_dims(3, 3, seed=0)
         assert r.dims == (1, 0, 2, 3, 6, 7, 9, 10, 9, 7, 6, 3, 2, 0, 1)
         assert r.total == 66
+
+
+def _slice_data(m, n, seed=0):
+    """Forms, slices and slice indices of a window, through its top slice."""
+    forms = GenericFormSet.generate(m, n, seed).forms
+    slices = [slice_monomials(m, n, t) for t in range(default_j_max(m, n) + 1)]
+    index = [{u: t for t, u in enumerate(sl)} for sl in slices]
+    return forms, slices, index
+
+
+SMALL_WINDOWS = [(m, t - m) for t in range(2, 6) for m in range(1, t)]
+_P = _RANK_PRIMES[0]
+_entries = st.integers(-3, 3) | st.sampled_from([_P, -_P, 2 * _P + 1, 2**40])
+
+
+class TestSliceRankCertificate:
+    @given(st.integers(1, 6).flatmap(
+        lambda c: st.lists(st.lists(_entries, min_size=c, max_size=c),
+                           min_size=1, max_size=7)))
+    @settings(max_examples=150, deadline=None)
+    def test_pivot_rows_give_the_rank_mod_p(self, rows):
+        M = np.array(rows, dtype=np.int64)
+        pivots = _rank_mod_p(M.copy(), _P)
+        field = PrimeField(_P)
+        assert len(pivots) == ExactMatrix(rows, field).rank()
+        assert len(set(pivots.tolist())) == len(pivots)
+        if len(pivots):
+            chosen = [rows[k] for k in pivots]
+            assert ExactMatrix(chosen, field).rank() == len(pivots)
+
+    @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
+    def test_certified_rank_is_the_exact_rank(self, m, n):
+        forms, slices, index = _slice_data(m, n)
+        for j in range(len(slices)):
+            span = _span_matrix(forms, slices, index, j)
+            want = ExactMatrix(span.tolist(), QQ).rank() if span.size else 0
+            assert _exact_slice_rank(forms, slices, index, j) == want, (m, n, j)
+
+    def test_koszul_matrix_only_on_the_free_rows(self, monkeypatch):
+        events = []
+        real_rank, real_slice = experiments._rank_mod_p, experiments._exact_slice_rank
+
+        def rank_spy(M, p, deadline=None):
+            shape = M.shape
+            pivots = real_rank(M, p, deadline)
+            events.append((shape, len(pivots)))
+            return pivots
+
+        def slice_spy(forms, slices, index, j, deadline=None):
+            events.append(j)
+            return real_slice(forms, slices, index, j, deadline)
+
+        monkeypatch.setattr(experiments, "_rank_mod_p", rank_spy)
+        monkeypatch.setattr(experiments, "_exact_slice_rank", slice_spy)
+        assert graded_quotient_dims(2, 3).dims == (1, 0, 1, 2, 2, 2, 2, 1, 0, 0)
+        calls = {}
+        for e in events:
+            if isinstance(e, int):
+                j = e
+                calls[j] = []
+            else:
+                calls[j].append(e)
+        assert sorted(calls) == list(range(10))
+        for j, ranked in calls.items():
+            if not ranked:
+                continue  # slice 0 spans nothing
+            (nrows, ncols), r_low = ranked[0]
+            if r_low == min(nrows, ncols):
+                assert len(ranked) == 1, j  # pinned by size: no Koszul matrix
+            else:
+                assert len(ranked) == 2, j
+                assert ranked[1][0][1] == nrows - r_low, j
+        for j in (8, 9):
+            (nrows, ncols), r_low = calls[j][0]
+            assert r_low == ncols < nrows and len(calls[j]) == 1
+
+    def test_exact_fallback_ranks_a_fresh_span_matrix(self, monkeypatch):
+        forms, slices, index = _slice_data(2, 3)
+        real_koszul = experiments._koszul_syzygies
+        monkeypatch.setattr(experiments, "_koszul_syzygies",
+                            lambda *a, **k: np.zeros_like(real_koszul(*a, **k)))
+        ranked = []
+
+        class RecordingMatrix(ExactMatrix):
+            def rank(self, deadline=None):
+                ranked.append(self.rows)
+                return super().rank(deadline)
+
+        monkeypatch.setattr(experiments, "ExactMatrix", RecordingMatrix)
+        needs_koszul = []
+        for j in range(len(slices)):
+            span = _span_matrix(forms, slices, index, j)
+            want = ExactMatrix(span.tolist(), QQ).rank() if span.size else 0
+            before = len(ranked)
+            assert _exact_slice_rank(forms, slices, index, j) == want, j
+            if want < min(span.shape):
+                needs_koszul.append(j)
+                assert ranked[before:] == [ExactMatrix(span.tolist(), QQ).rows], j
+            else:
+                assert len(ranked) == before, j
+        assert needs_koszul == [3, 4, 5, 6, 7]
 
 
 class TestDecomposition:

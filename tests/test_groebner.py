@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from laurent_eulerian import groebner
 from laurent_eulerian.algebra import QQ, MultiPoly, PrimeField
 from laurent_eulerian.deadline import Deadline, DeadlineExceeded
 from laurent_eulerian.groebner import (
@@ -196,6 +197,41 @@ class TestConstantTermIdeals:
             ideal_quotient_dimension(3, 3, deadline=Deadline(0))
         with pytest.raises(DeadlineExceeded):
             conjecture_unit_check(3, 3, deadline=Deadline(0))
+
+    def test_one_reduction_checks_the_deadline(self):
+        class CountingDeadline:
+            calls = 0
+
+            def check(self):
+                self.calls += 1
+
+        # x^N reduced by x - 1 pops x^N, x^(N-1), ..., 1: N + 1 work terms
+        N = 10 * groebner._REDUCE_CHECK_EVERY
+        key = TermOrder().key(1)
+        x = MultiPoly({(1,): 1}, 1, 0, QQ)
+        reducer = x - MultiPoly({(0,): 1}, 1, 0, QQ)
+        deadline = CountingDeadline()
+        r = groebner._reduce(MultiPoly({(N,): 1}, 1, 0, QQ), [reducer], [(1,)], key,
+                             QQ, deadline)
+        assert r == MultiPoly({(0,): 1}, 1, 0, QQ)
+        assert deadline.calls == (N + 1) // groebner._REDUCE_CHECK_EVERY
+        with pytest.raises(DeadlineExceeded):
+            groebner._reduce(MultiPoly({(N,): 1}, 1, 0, QQ), [reducer], [(1,)], key,
+                             QQ, Deadline(0))
+
+    def test_buchberger_passes_its_deadline_to_every_reduction(self, monkeypatch):
+        seen = []
+        real = groebner._reduce
+
+        def spy(p, reducers, lms, order_key, field, deadline=None):
+            seen.append(deadline)
+            return real(p, reducers, lms, order_key, field, deadline)
+
+        monkeypatch.setattr(groebner, "_reduce", spy)
+        deadline = Deadline(3600)
+        assert ideal_quotient_dimension(2, 3, deadline=deadline) == 11
+        assert len(seen) > len(build_ideal(IdealSpec(2, 3)))  # pairs and interreduction
+        assert all(d is deadline for d in seen)
 
     def test_homogeneous_generators_available(self):
         gens = build_ideal(IdealSpec(2, 2, dehomogenized=False))
