@@ -8,7 +8,6 @@ from .algebra import (
     MultiPoly,
     PrimeField,
     ZeroPolynomialError,
-    exact_rank,
 )
 from .deadline import Deadline, DeadlineExceeded
 from .chow import ChowRing, generic_ci_degree, sparse_ci_degree
@@ -30,12 +29,10 @@ from .groebner import (
     build_ideal,
     conjecture_unit_check,
     ideal_quotient_dimension,
-    is_unit_ideal,
     normal_form,
     quotient_dimension,
 )
 from .laurent import (
-    ConstantTermResult,
     LaurentSpec,
     charp_scan,
     constant_term_iterative,
@@ -55,7 +52,6 @@ __all__ = [
     "MultiPoly",
     "PrimeField",
     "ZeroPolynomialError",
-    "exact_rank",
     "Deadline",
     "DeadlineExceeded",
     "ChowRing",
@@ -76,10 +72,8 @@ __all__ = [
     "build_ideal",
     "conjecture_unit_check",
     "ideal_quotient_dimension",
-    "is_unit_ideal",
     "normal_form",
     "quotient_dimension",
-    "ConstantTermResult",
     "LaurentSpec",
     "charp_scan",
     "constant_term_iterative",

@@ -7,7 +7,7 @@ rationals are arbitrary-precision, prime-field residues are reduced ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .deadline import Deadline
 
@@ -170,10 +170,6 @@ class MultiPoly:
     @classmethod
     def zero(cls, nvars: int, offset: int, field) -> "MultiPoly":
         return cls({}, nvars, offset, field)
-
-    @classmethod
-    def constant(cls, c, nvars: int, offset: int, field) -> "MultiPoly":
-        return cls({(0,) * nvars: c}, nvars, offset, field)
 
     @classmethod
     def variable(cls, j: int, nvars: int, offset: int, field) -> "MultiPoly":
@@ -419,10 +415,3 @@ class ExactMatrix:
                 break
         return rows, pivots
 
-
-def exact_rank(rows: Iterable[Sequence[object]], field=QQ) -> int:
-    """Rank of a matrix given as an iterable of rows, over the given field."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    return ExactMatrix(rows, field).rank()

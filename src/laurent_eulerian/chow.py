@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import QQ, ExactMatrix
-from .eulerian import _unipoly_mul, eulerian, gen_eulerian
+from .eulerian import _unipoly_mul, check_window_divisor, eulerian, gen_eulerian
 
 
 def ray_matrix(m: int, n: int) -> list:
@@ -175,8 +175,7 @@ class SparseDegree:
 
 def sparse_ci_degree(m: int, n: int, d: int) -> SparseDegree:
     """Generalized Eulerian degree when gcd(d, n) = 1, else the empty marker."""
-    if (m + n) % d != 0:
-        raise ValueError(f"d = {d} does not divide m+n = {m + n}")
+    check_window_divisor(m, n, d)
     if math.gcd(d, n) != 1:
         return SparseDegree(0, True)
     return SparseDegree(gen_eulerian(m + n - 1, m - 1, d), False)

@@ -293,8 +293,8 @@ def _const_terms(args, report):
         raise ValueError("const-terms needs --poly, or both --m and --n")
     else:
         spec = LaurentSpec(args.m, args.n, field=args.field)
-    a = laurent.constant_term_iterative(spec, args.power).value
-    b = laurent.constant_term_multinomial(spec, args.power).value
+    a = laurent.constant_term_iterative(spec, args.power)
+    b = laurent.constant_term_multinomial(spec, args.power)
     report["inputs"] = {
         "poly": args.poly,
         "m": spec.m,

@@ -232,12 +232,19 @@ def orbit_decomposition(N: int, a: int, cap: int = 11) -> OrbitDecomposition:
     return OrbitDecomposition(N, a, tuple(orbits))
 
 
-def deg_Z_circle(m: int, n: int, d: int) -> int:
-    """Moebius-inverted degree of the singularity stratum indexed by d | m+n."""
+def check_window_divisor(m: int, n: int, d: int):
+    """Raise ValueError unless m, n >= 1 and d is a positive divisor of m+n."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    if d < 1:
+        raise ValueError("d must be a positive integer")
     if (m + n) % d != 0:
         raise ValueError(f"d = {d} does not divide m+n = {m + n}")
+
+
+def deg_Z_circle(m: int, n: int, d: int) -> int:
+    """Moebius-inverted degree of the singularity stratum indexed by d | m+n."""
+    check_window_divisor(m, n, d)
     return sum(
         mobius(c) * gen_eulerian(m + n - 1, m - 1, c * d)
         for c in divisors((m + n) // d)

@@ -206,6 +206,8 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     deadline is checked once per slice, once per prime, and once per pivot
     column of every elimination.
     """
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
     if j_max is None:
         j_max = default_j_max(m, n)
     bound = eulerian(m + n - 1, m - 1)

@@ -15,29 +15,19 @@ from .laurent import LaurentSpec, constant_term_iterative
 
 @dataclass(frozen=True)
 class TermOrder:
-    """Monomial order: degrevlex or lex, with an explicit variable priority.
-
-    priority lists variable positions from most to least significant; it
-    defaults to position order (x_{offset} > x_{offset+1} > ...).
-    """
+    """Monomial order on exponent tuples, degrevlex or lex, with the variables
+    in position order: x_{offset} > x_{offset+1} > ..."""
 
     kind: str = "degrevlex"
-    priority: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex"):
             raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.priority is not None:
-            object.__setattr__(self, "priority", tuple(self.priority))
 
-    def key(self, nvars: int):
-        prio = self.priority if self.priority is not None else tuple(range(nvars))
-        if sorted(prio) != list(range(nvars)):
-            raise ValueError("priority must be a permutation of the variable positions")
+    def key(self):
         if self.kind == "lex":
-            return lambda e: tuple(e[p] for p in prio)
-        rev = tuple(reversed(prio))
-        return lambda e: (sum(e), tuple(-e[p] for p in rev))
+            return lambda e: e
+        return lambda e: (sum(e), tuple(-u for u in reversed(e)))
 
 
 def _monomial_divides(a: tuple, b: tuple) -> bool:
@@ -74,7 +64,7 @@ class GroebnerBasis:
         self.nvars = nvars
         self.offset = offset
         self.field = field
-        self._key = order.key(nvars)
+        self._key = order.key()
         self.elements = list(elements)
         self.leading = [self._lm(g) for g in self.elements]
 
@@ -95,7 +85,7 @@ class GroebnerBasis:
 def leading_term(p: MultiPoly, order: TermOrder):
     if p.is_zero:
         raise ValueError("zero polynomial has no leading term")
-    key = order.key(p.nvars)
+    key = order.key()
     e = max(p.terms, key=key)
     return e, p.terms[e]
 
@@ -185,7 +175,7 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
             raise FieldMismatchError("generators over mixed fields")
         if (g.nvars, g.offset) != (nvars, offset):
             raise ValueError("generators over mixed variable windows")
-    key = order.key(nvars)
+    key = order.key()
 
     basis = [_make_primitive(g) for g in gens]
     lms = [max(g.terms, key=key) for g in basis]
@@ -293,14 +283,12 @@ def staircase_monomials(G: GroebnerBasis) -> list:
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """The constant-term ideal data: window, power range, field, homogeneity."""
+    """The constant-term ideal data: window, power range and field."""
 
     m: int
     n: int
     max_power: Optional[int] = None  # default m+n-1; use m+n for the unit-ideal system
     field: object = QQ
-    dehomogenized: bool = True
-    support: Optional[frozenset] = None
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -309,21 +297,16 @@ class IdealSpec:
             object.__setattr__(self, "max_power", self.m + self.n - 1)
         if self.max_power < 1:
             raise ValueError("max_power must be positive")
-        if self.support is not None:
-            object.__setattr__(self, "support", frozenset(self.support))
 
 
 def build_ideal(spec: IdealSpec) -> list:
-    """Generators: constant terms of the powers 1..max_power, optionally with
-    the endpoint variables set to 1 (the dehomogenized window)."""
-    lspec = LaurentSpec(spec.m, spec.n, spec.support, spec.field)
+    """Generators: constant terms of the powers 1..max_power with the endpoint
+    variables set to 1 (the dehomogenized window)."""
+    lspec = LaurentSpec(spec.m, spec.n, field=spec.field)
     gens = []
     for i in range(1, spec.max_power + 1):
-        g = constant_term_iterative(lspec, i).value
-        if spec.dehomogenized:
-            g = g.substitute({-spec.m: 1, spec.n: 1})
-            g = g.restrict(-spec.m + 1, spec.m + spec.n - 1)
-        gens.append(g)
+        g = constant_term_iterative(lspec, i).substitute({-spec.m: 1, spec.n: 1})
+        gens.append(g.restrict(-spec.m + 1, spec.m + spec.n - 1))
     return gens
 
 
@@ -332,24 +315,16 @@ def groebner_of_ideal(spec: IdealSpec, order: TermOrder = TermOrder(),
     return buchberger(build_ideal(spec), order, deadline=deadline)
 
 
-def ideal_quotient_dimension(m: int, n: int, field=QQ, order: TermOrder = TermOrder(),
+def ideal_quotient_dimension(m: int, n: int, field=QQ,
                              deadline: Optional[Deadline] = None):
     """Degree of the constant-term ideal with powers 1..m+n-1."""
     return quotient_dimension(
-        groebner_of_ideal(IdealSpec(m, n, field=field), order, deadline=deadline)
+        groebner_of_ideal(IdealSpec(m, n, field=field), deadline=deadline)
     )
-
-
-def is_unit_ideal(spec: IdealSpec, order: TermOrder = TermOrder(),
-                  deadline: Optional[Deadline] = None) -> bool:
-    """True iff the powers in the spec's range generate the whole ring."""
-    if not spec.dehomogenized:
-        raise ValueError("the unit-ideal test is posed in the dehomogenized ring")
-    return groebner_of_ideal(spec, order, deadline=deadline).is_unit
 
 
 def conjecture_unit_check(m: int, n: int, field=QQ,
                           deadline: Optional[Deadline] = None) -> bool:
     """Finite evidence only: whether powers 1..m+n generate the unit ideal."""
-    return is_unit_ideal(IdealSpec(m, n, max_power=m + n, field=field),
-                         deadline=deadline)
+    spec = IdealSpec(m, n, max_power=m + n, field=field)
+    return groebner_of_ideal(spec, deadline=deadline).is_unit

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .algebra import QQ, MultiPoly, RationalField
@@ -25,7 +25,7 @@ class LaurentSpec:
 
     m: int
     n: int
-    support: frozenset = dc_field(default=None)
+    support: Optional[frozenset] = None  # None means the whole window
     field: object = QQ
     coefficients: Optional[Mapping[int, object]] = None  # None means symbolic
 
@@ -52,13 +52,6 @@ class LaurentSpec:
     def symbolic(self) -> bool:
         return self.coefficients is None
 
-    @classmethod
-    def sparse(cls, m: int, n: int, d: int, field=QQ) -> "LaurentSpec":
-        """Support {-m, -m+d, ..., n-d, n}; d must divide m+n."""
-        if (m + n) % d != 0:
-            raise ValueError(f"{d} does not divide m+n = {m + n}")
-        return cls(m, n, frozenset(range(-m, n + 1, d)), field)
-
     def z_coefficients(self):
         """Mapping z-exponent -> coefficient (MultiPoly if symbolic, scalar if numeric)."""
         nvars = self.m + self.n + 1
@@ -70,12 +63,6 @@ class LaurentSpec:
         return {
             j: c for j in sorted(self.support) if (c := self.coefficients.get(j, self.field.zero))
         }
-
-
-@dataclass(frozen=True)
-class ConstantTermResult:
-    power: int
-    value: object  # MultiPoly in symbolic mode, scalar otherwise
 
 
 def _check_power(i: int):
@@ -107,8 +94,9 @@ def _times_base(current: dict, base: dict, add, mul, lo: int, hi: int) -> dict:
     return out
 
 
-def constant_term_iterative(spec: LaurentSpec, i: int) -> ConstantTermResult:
-    """z^0 coefficient of the i-th power, by repeated convolution in z.
+def constant_term_iterative(spec: LaurentSpec, i: int):
+    """z^0 coefficient of the i-th power, by repeated convolution in z: a
+    MultiPoly in symbolic mode, a scalar otherwise.
 
     Exponents that cannot return to zero with the remaining factors are pruned.
     """
@@ -124,13 +112,11 @@ def constant_term_iterative(spec: LaurentSpec, i: int) -> ConstantTermResult:
         remaining = i - step
         current = _times_base(current, base, add, mul,
                               -spec.n * remaining, spec.m * remaining)
-    value = current.get(0)
-    if value is None:
-        value = (
-            MultiPoly.zero(spec.m + spec.n + 1, -spec.m, spec.field)
-            if spec.symbolic else spec.field.zero
-        )
-    return ConstantTermResult(i, value)
+    if 0 in current:
+        return current[0]
+    if spec.symbolic:
+        return MultiPoly.zero(spec.m + spec.n + 1, -spec.m, spec.field)
+    return spec.field.zero
 
 
 def weight_zero_exponents(m: int, n: int, degree: int, support=None):
@@ -183,7 +169,7 @@ def multinomial(i: int, exps) -> int:
     return out
 
 
-def constant_term_multinomial(spec: LaurentSpec, i: int) -> ConstantTermResult:
+def constant_term_multinomial(spec: LaurentSpec, i: int):
     """z^0 coefficient of the i-th power, by direct multinomial summation."""
     _check_power(i)
     fld = spec.field
@@ -192,7 +178,7 @@ def constant_term_multinomial(spec: LaurentSpec, i: int) -> ConstantTermResult:
         terms = {}
         for u in weight_zero_exponents(spec.m, spec.n, i, spec.support):
             terms[u] = multinomial(i, u)
-        return ConstantTermResult(i, MultiPoly(terms, nvars, -spec.m, fld))
+        return MultiPoly(terms, nvars, -spec.m, fld)
     coeffs = {j: spec.coefficients.get(j, fld.zero) for j in spec.support}
     total = fld.zero
     for u in weight_zero_exponents(spec.m, spec.n, i, spec.support):
@@ -204,7 +190,7 @@ def constant_term_multinomial(spec: LaurentSpec, i: int) -> ConstantTermResult:
             if not c:
                 break
         total = fld.add(total, c)
-    return ConstantTermResult(i, total)
+    return total
 
 
 def charp_scan(spec: LaurentSpec, i_max: int) -> Optional[int]:

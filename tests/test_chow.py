@@ -150,6 +150,11 @@ class TestDegrees:
         with pytest.raises(ValueError):
             sparse_ci_degree(2, 2, 3)
 
+    @pytest.mark.parametrize("m, n, d", [(2, 3, 0), (0, 3, 1), (3, 0, 1), (-1, 2, 1)])
+    def test_sparse_rejects_bad_window_or_step(self, m, n, d):
+        with pytest.raises(ValueError):
+            sparse_ci_degree(m, n, d)
+
     def test_sparse_d1_is_generic(self):
         for m in range(1, 7):
             for n in range(max(1, 3 - m), 8 - m):

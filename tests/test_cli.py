@@ -270,6 +270,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"argument {flag}: must be at least" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [pytest.param(["sparse-degree", "--m", "2", "--n", "3", "--d", "0"],
+                      "d must be a positive integer", id="sparse-degree-d-0"),
+         pytest.param(["sparse-degree", "--m", "0", "--n", "3", "--d", "1"],
+                      "m and n must be positive", id="sparse-degree-m-0"),
+         pytest.param(["hilbert-slices", "--m", "0", "--n", "2"],
+                      "m and n must be positive", id="hilbert-slices-m-0"),
+         pytest.param(["hilbert-slices", "--m", "-1", "--n", "2"],
+                      "m and n must be positive", id="hilbert-slices-m--1")],
+    )
+    def test_bad_window_or_step_is_a_usage_error(self, capsys, fmt, argv, message):
+        # not a crash (exit 3), a silent 0, or a disagreement (exit 1)
+        assert main(["--format", fmt, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_budget_timeout_off_main_thread(self, capsys):
         argv = ["--format", "json", "hilbert-slices", "--m", "3", "--n", "3",
                 "--budget-seconds", "0.05"]

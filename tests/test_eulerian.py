@@ -213,6 +213,11 @@ class TestDegZCircle:
         assert deg_Z_circle(1, 3, 4) == 1
         assert deg_Z_circle(1, 3, 1) == 0
 
+    def test_rejects_step_zero(self):
+        # a ValueError (usage error), not a ZeroDivisionError (crash)
+        with pytest.raises(ValueError):
+            deg_Z_circle(2, 3, 0)
+
     def test_heart_decomposition(self):
         # sum over d | N of deg Z_d equals the full Eulerian number
         for m in range(1, 12):

@@ -64,6 +64,15 @@ class TestGradedDims:
             assert r.total == eulerian(m + n - 1, m - 1), (m, n)
             assert r.dims[0] == 1
 
+    @pytest.mark.parametrize("m, n", [(0, 2), (-1, 2), (2, 0)])
+    def test_rejects_empty_window(self, m, n, monkeypatch):
+        def no_forms(*args):
+            raise AssertionError("no seed may be tried for an empty window")
+
+        monkeypatch.setattr(GenericFormSet, "generate", no_forms)
+        with pytest.raises(ValueError):
+            graded_quotient_dims(m, n)
+
     def test_2_3_profile(self):
         r = graded_quotient_dims(2, 3, seed=0)
         assert r.dims == (1, 0, 1, 2, 2, 2, 2, 1, 0, 0)

@@ -31,12 +31,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LaurentSpec(0, 1)
 
-    def test_sparse_support(self):
-        s = LaurentSpec.sparse(2, 2, 2)
-        assert s.support == frozenset({-2, 0, 2})
-        with pytest.raises(ValueError):
-            LaurentSpec.sparse(2, 3, 2)
-
     def test_power_zero_rejected(self):
         with pytest.raises(ValueError):
             constant_term_iterative(sym(1, 1), 0)
@@ -46,21 +40,21 @@ class TestSpecValidation:
 
 class TestSymbolicConstantTerms:
     def test_first_power_is_x0(self):
-        assert constant_term_iterative(sym(1, 1), 1).value == x(0, 1, 1)
+        assert constant_term_iterative(sym(1, 1), 1) == x(0, 1, 1)
 
     def test_square_by_hand(self):
         # (x_{-1} z^{-1} + x_0 + x_1 z)^2 has z^0 coefficient x_0^2 + 2 x_{-1} x_1
         expected = x(0, 1, 1) * x(0, 1, 1) + (x(-1, 1, 1) * x(1, 1, 1)).scale(2)
-        assert constant_term_iterative(sym(1, 1), 2).value == expected
-        assert constant_term_multinomial(sym(1, 1), 2).value == expected
+        assert constant_term_iterative(sym(1, 1), 2) == expected
+        assert constant_term_multinomial(sym(1, 1), 2) == expected
 
     def test_single_weight_zero_monomial(self):
-        assert constant_term_multinomial(sym(1, 2), 1).value == x(0, 1, 2)
+        assert constant_term_multinomial(sym(1, 2), 1) == x(0, 1, 2)
 
     def test_homogeneous_of_degree_i_weight_zero(self):
         for m, n in [(1, 1), (1, 2), (2, 2), (2, 3)]:
             for i in range(1, 5):
-                v = constant_term_multinomial(sym(m, n), i).value
+                v = constant_term_multinomial(sym(m, n), i)
                 assert v.graded_degree() == (i, 0)
 
     def test_dual_path_grid(self):
@@ -68,27 +62,27 @@ class TestSymbolicConstantTerms:
             for n in range(1, 7 - m):
                 spec = sym(m, n)
                 for i in range(1, 9):
-                    a = constant_term_iterative(spec, i).value
-                    b = constant_term_multinomial(spec, i).value
+                    a = constant_term_iterative(spec, i)
+                    b = constant_term_multinomial(spec, i)
                     assert a == b, (m, n, i)
 
     def test_sparse_equals_full_with_zeros(self):
         # computing on sparse support == full support with non-support vars set to 0
         for m, n, d in [(1, 1, 2), (2, 2, 2), (1, 2, 3), (3, 3, 3), (2, 2, 4)]:
-            spec = LaurentSpec.sparse(m, n, d)
+            spec = sym(m, n, frozenset(range(-m, n + 1, d)))
             full = sym(m, n)
             dead = {j: 0 for j in range(-m, n + 1) if j not in spec.support}
             for i in range(1, 6):
-                a = constant_term_iterative(spec, i).value
-                b = constant_term_iterative(full, i).value.substitute(dead)
+                a = constant_term_iterative(spec, i)
+                b = constant_term_iterative(full, i).substitute(dead)
                 assert a == b, (m, n, d, i)
 
     def test_window_reversal_symmetry(self):
         # x_j -> x_{-j} maps the (m, n) constant term onto the (n, m) one
         for m, n in [(1, 2), (2, 3), (1, 3)]:
             for i in range(1, 5):
-                a = constant_term_multinomial(sym(m, n), i).value
-                b = constant_term_multinomial(sym(n, m), i).value
+                a = constant_term_multinomial(sym(m, n), i)
+                b = constant_term_multinomial(sym(n, m), i)
                 flipped = MultiPoly(
                     {tuple(reversed(e)): c for e, c in a.terms.items()},
                     m + n + 1,
@@ -107,7 +101,7 @@ class TestNumericAndCharP:
     def test_rational_power_two(self):
         spec = LaurentSpec(1, 1, frozenset({-1, 1}), QQ, {-1: 1, 1: 1})
         assert charp_scan(spec, 4) == 2
-        assert constant_term_iterative(spec, 2).value == Fraction(2)
+        assert constant_term_iterative(spec, 2) == Fraction(2)
 
     def test_f3_power_two(self):
         f3 = PrimeField(3)
@@ -128,8 +122,8 @@ class TestNumericAndCharP:
             coeffs[n] = field.coerce(rng.choice([1, 2, 3]))
             spec = LaurentSpec(m, n, None, field, coeffs)
             i = rng.randint(1, 6)
-            a = constant_term_iterative(spec, i).value
-            b = constant_term_multinomial(spec, i).value
+            a = constant_term_iterative(spec, i)
+            b = constant_term_multinomial(spec, i)
             assert a == b
 
 

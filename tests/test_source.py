@@ -1,6 +1,7 @@
 """Static checks on the package source; no linter is installed, so these use ast."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,16 @@ import laurent_eulerian
 PACKAGE = Path(laurent_eulerian.__file__).parent
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the benchmark drives the package from outside and names layers by string
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# kept although no program path calls them: tests check the program against them
+TEST_ORACLES = {
+    "normal_form",
+    "eulerian_bruteforce",
+    "MultiPoly.graded_degree",
+    "CircularPermutation.add_one",
+    "CircularPermutation.circular_ascents",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -47,3 +58,97 @@ def test_one_clock():
     # every budget is a Deadline; no other module keeps its own clock
     readers = [p.name for p in MODULES if "time.monotonic" in p.read_text()]
     assert readers == ["deadline.py"]
+
+
+def definitions(tree) -> list:
+    """(qualified name, node) of every function, class and method, nested too."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((prefix + child.name, child))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def read_names(tree, strings: bool = False) -> Counter:
+    """How often each name is read as a variable or an attribute (and, with
+    strings, written as a string constant)."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1
+    return names
+
+
+def _registered(node) -> bool:
+    """A CLI subcommand: decorated with cli._command(...)."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_command"
+        for d in node.decorator_list
+    )
+
+
+def dead_definitions(sources, outside: Counter, oracles) -> list:
+    """Qualified names of the definitions in sources that nothing reaches: not
+    read by name in sources outside their own body, not in outside, not a
+    registered subcommand and not an oracle.  Dunder methods are implicit."""
+    trees = [ast.parse(source) for source in sources]
+    read = sum((read_names(tree) for tree in trees), Counter())
+    dead = []
+    for tree in trees:
+        for qualname, node in definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if _registered(node) or qualname in oracles or outside[name]:
+                continue
+            if read[name] - read_names(node)[name] == 0:
+                dead.append(qualname)
+    return dead
+
+
+def test_dead_definition_detector():
+    source = (
+        "def used(): return helper()\n"
+        "def helper(): return 1\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "def traced(): pass\n"
+        "def oracle(): pass\n"
+        "@_command('x')\n"
+        "def _run(args, report): pass\n"
+        "class Box:\n"
+        "    def __init__(self): self.inner = lambda: 0\n"
+        "    def method(self): pass\n"
+        "    def unread(self): pass\n"
+    )
+    caller = "print(used(), Box().method())\n"
+    outside = read_names(ast.parse("FUNCTIONS = ('traced',)"), strings=True)
+    assert dead_definitions([source, caller], outside, {"oracle"}) == [
+        "recursive", "Box.unread"]
+    # without the caller, used() and Box are unread too; helper is still read
+    assert dead_definitions([source], outside, {"oracle"}) == [
+        "used", "recursive", "Box", "Box.method", "Box.unread"]
+
+
+def test_no_dead_definitions():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    outside = sum((read_names(ast.parse(p.read_text()), strings=True)
+                   for p in sorted(PERFBENCH.glob("*.py"))), Counter())
+    assert outside["constant_term_iterative"]  # the benchmark's tracer is read
+    assert dead_definitions(sources, outside, TEST_ORACLES) == []
+
+
+def test_oracles_are_defined():
+    # an oracle that no longer exists should leave the list too
+    defined = {q for p in MODULES for q, _ in definitions(ast.parse(p.read_text()))}
+    assert TEST_ORACLES <= defined
