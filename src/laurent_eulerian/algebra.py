@@ -238,10 +238,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            try:
-                return self.scale(other)
-            except TypeError:
-                return NotImplemented
+            return NotImplemented
         self._check_compatible(other)
         add, mul = self.field.add, self.field.mul
         out: dict = {}
@@ -263,8 +260,6 @@ class MultiPoly:
         p = MultiPoly.__new__(MultiPoly)
         p.terms, p.nvars, p.offset, p.field = out, self.nvars, self.offset, self.field
         return p
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -292,45 +287,6 @@ class MultiPoly:
             elif d != deg:
                 return None
         return deg
-
-    def substitute(self, values: Mapping[int, object]) -> "MultiPoly":
-        """Set variables x_j to the given scalars; other variables are kept."""
-        positions = {j - self.offset: self.field.coerce(v) for j, v in values.items()}
-        mul = self.field.mul
-        out = MultiPoly.zero(self.nvars, self.offset, self.field)
-        acc: dict = {}
-        add = self.field.add
-        for exps, c in self.terms.items():
-            for t, v in positions.items():
-                u = exps[t]
-                if u:
-                    for _ in range(u):
-                        c = mul(c, v)
-                    if not c:
-                        break
-            if not c:
-                continue
-            e = tuple(0 if t in positions else u for t, u in enumerate(exps))
-            if e in acc:
-                s = add(acc[e], c)
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-            else:
-                acc[e] = c
-        out.terms.update(acc)
-        return out
-
-    def restrict(self, offset: int, nvars: int) -> "MultiPoly":
-        """Reindex onto a sub-window; exponents outside it must vanish."""
-        lo, hi = offset - self.offset, offset - self.offset + nvars
-        out = {}
-        for exps, c in self.terms.items():
-            if any(exps[t] for t in range(self.nvars) if not lo <= t < hi):
-                raise ValueError("polynomial involves variables outside the target window")
-            out[exps[lo:hi]] = c
-        return MultiPoly(out, nvars, offset, self.field)
 
     def __str__(self):
         if not self.terms:

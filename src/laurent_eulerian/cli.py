@@ -162,7 +162,10 @@ def parse_laurent(s: str, field=QQ) -> LaurentSpec:
 def _field_arg(text: str):
     if text.lower() in ("q", "qq", "rational"):
         return QQ
-    return PrimeField(int(text))
+    try:
+        return PrimeField(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected QQ or a prime, got {text!r}") from None
 
 
 def _seconds_arg(text: str) -> float:
@@ -300,7 +303,7 @@ def _const_terms(args, report):
         "m": spec.m,
         "n": spec.n,
         "power": args.power,
-        "field": laurent.field_name(spec.field),
+        "field": repr(spec.field),
     }
     report["result"] = str(a) if spec.symbolic else a
     report["agreement"] = a == b
@@ -326,7 +329,7 @@ def _groebner(args, report):
         "m": args.m,
         "n": args.n,
         "order": args.order,
-        "field": laurent.field_name(args.field),
+        "field": repr(args.field),
     }
     basis = gb.groebner_of_ideal(spec, order, deadline=_deadline(args))
     report["result"] = [str(g) for g in basis]
@@ -335,7 +338,7 @@ def _groebner(args, report):
 @_command("degree", "ideal degree vs intersection number vs Eulerian",
           *WINDOW, FIELD, BUDGET)
 def _degree(args, report):
-    report["inputs"] = {"m": args.m, "n": args.n, "field": laurent.field_name(args.field)}
+    report["inputs"] = {"m": args.m, "n": args.n, "field": repr(args.field)}
     cell = experiments.degree_cell(args.m, args.n, field=args.field,
                                    deadline=_deadline(args))
     report["result"] = {

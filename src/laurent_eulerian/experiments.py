@@ -311,8 +311,10 @@ class TheoremMatrixReport:
     cells: tuple
 
     @property
-    def agrees(self) -> bool:
-        return all(c.agrees is not False for c in self.cells)
+    def agrees(self) -> Optional[bool]:
+        """None when no cell checked anything, else whether no cell disagreed."""
+        verdicts = {c.agrees for c in self.cells}
+        return None if verdicts <= {None} else False not in verdicts
 
 
 def degree_cell(m: int, n: int, field=QQ,

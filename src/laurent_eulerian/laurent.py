@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .algebra import QQ, MultiPoly, RationalField
+from .algebra import QQ, MultiPoly
 
 
 @dataclass(frozen=True)
@@ -214,8 +214,3 @@ def charp_scan(spec: LaurentSpec, i_max: int) -> Optional[int]:
             return i
     return None
 
-
-def field_name(fld) -> str:
-    if isinstance(fld, RationalField):
-        return "QQ"
-    return f"GF({fld.p})"

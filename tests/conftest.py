@@ -1,6 +1,7 @@
 import random
 
-from laurent_eulerian.algebra import MultiPoly
+from laurent_eulerian.algebra import QQ, MultiPoly
+from laurent_eulerian.experiments import GenericFormSet
 
 
 def random_poly(rng: random.Random, nvars: int, offset: int, field,
@@ -11,3 +12,16 @@ def random_poly(rng: random.Random, nvars: int, offset: int, field,
         c = rng.randint(-coeff_range, coeff_range)
         terms[exps] = terms.get(exps, 0) + c
     return MultiPoly(terms, nvars, offset, field)
+
+
+def degenerate_seeds(monkeypatch, bad) -> None:
+    """Stub GenericFormSet.generate so that every seed in bad gets zero forms."""
+    real = GenericFormSet.generate
+
+    def generate(m, n, seed):
+        if seed not in bad:
+            return real(m, n, seed)
+        zero = MultiPoly.zero(m + n + 1, -m, QQ)
+        return GenericFormSet(m, n, seed, (zero,) * (m + n))
+
+    monkeypatch.setattr(GenericFormSet, "generate", generate)

@@ -65,14 +65,6 @@ class TestPolyArithmetic:
         with pytest.raises(ValueError):
             var(0, nvars=3) + var(0, nvars=2)
 
-    def test_substitute_and_restrict(self):
-        # x_{-1} x_0 + x_1 with x_{-1} = 2 becomes 2 x_0 + x_1
-        p = var(-1) * var(0) + var(1)
-        q = p.substitute({-1: 2})
-        assert q == var(0).scale(2) + var(1)
-        r = (var(-1) * var(1)).substitute({-1: 1, 1: 1}).restrict(0, 1)
-        assert r == MultiPoly({(0,): 1}, 1, 0, QQ)
-
     def test_sorted_terms_deterministic(self):
         p = var(1) + var(0) + var(-1)
         exps = [e for e, _ in p.sorted_terms()]

@@ -11,6 +11,7 @@ from laurent_eulerian.cli import (
     parse_laurent,
     parse_laurent_terms,
 )
+from conftest import degenerate_seeds
 
 
 class TestParser:
@@ -134,6 +135,19 @@ class TestCommands:
         }
         assert rep["agreement"] is True
 
+    def test_field_spellings_agree(self, capsys):
+        reports = [run_json(capsys, ["degree", "--m", "2", "--n", "3", "--field", f])
+                   for f in ("32003", "qq", "Q")]
+        assert [code for code, _ in reports] == [0, 0, 0]
+        assert [rep["inputs"]["field"] for _, rep in reports] == ["GF(32003)", "QQ", "QQ"]
+        assert all(rep["result"] == reports[0][1]["result"] for _, rep in reports)
+
+    def test_groebner_over_a_prime_field(self, capsys):
+        code, rep = run_json(capsys, ["groebner", "--m", "2", "--n", "2", "--field", "7"])
+        assert code == 0
+        assert rep["inputs"]["field"] == "GF(7)"
+        assert rep["result"] == ["x_0", "1 + x_-1*x_1", "x_1^2 + x_-1^2", "x_1^3 + 6*x_-1"]
+
     def test_conjecture_check(self, capsys):
         code, rep = run_json(capsys, ["conjecture-check", "--m", "2", "--n", "2"])
         assert code == 0 and rep["result"] is True
@@ -179,6 +193,13 @@ class TestCommands:
             assert rep["agreement"] is None
         else:
             assert "agreement: None" in out
+
+    def test_every_seed_degenerate_is_a_disagreement(self, capsys, monkeypatch):
+        degenerate_seeds(monkeypatch, range(10))
+        code, rep = run_json(capsys, ["hilbert-slices", "--m", "2", "--n", "3"])
+        assert code == 1
+        assert rep["result"]["seeds_tried"] == [0, 1, 2, 3, 4]
+        assert rep["agreement"] is False
 
     def test_full_hilbert_profile_keeps_its_agreement(self, capsys):
         code, rep = run_json(
@@ -252,6 +273,28 @@ class TestExitCodes:
             main([*argv, "--budget-seconds", budget])
         assert exc.value.code == 2
         assert "non-negative number of seconds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["4", "0", "abc"])
+    def test_bad_field_is_a_usage_error(self, capsys, field):
+        with pytest.raises(SystemExit) as exc:
+            main(["groebner", "--m", "2", "--n", "2", "--field", field])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --field: expected QQ or a prime, got '{field}'" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_grid_that_checked_nothing_has_no_agreement(self, capsys, fmt):
+        # every cell cut by the budget: not a pass, and not a disagreement
+        code = main(["--format", fmt, "theorem-matrix", "--max-total", "3",
+                     "--budget-seconds", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        if fmt == "json":
+            rep = json.loads(out)
+            assert {c["status"] for c in rep["result"]} == {"timeout"}
+            assert rep["agreement"] is None
+        else:
+            assert "agreement: None" in out
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from laurent_eulerian.experiments import (
     slice_monomials,
     theorem_matrix,
 )
+from conftest import degenerate_seeds
 
 
 class TestSlices:
@@ -77,6 +78,19 @@ class TestGradedDims:
         r = graded_quotient_dims(2, 3, seed=0)
         assert r.dims == (1, 0, 1, 2, 2, 2, 2, 1, 0, 0)
         assert len(r.dims) == default_j_max(2, 3) + 1
+
+    def test_degenerate_seed_is_retried(self, monkeypatch):
+        degenerate_seeds(monkeypatch, {0})
+        r = graded_quotient_dims(2, 3)
+        assert r.seeds_tried == (0, 1) and r.seed == 1
+        assert r.dims == (1, 0, 1, 2, 2, 2, 2, 1, 0, 0)
+
+    def test_every_seed_degenerate_reports_the_last(self, monkeypatch):
+        degenerate_seeds(monkeypatch, range(10))
+        r = graded_quotient_dims(2, 3)
+        assert r.seeds_tried == (0, 1, 2, 3, 4) and r.seed == 4
+        # zero forms span nothing: every slice of the ring survives
+        assert r.dims == tuple(len(slice_monomials(2, 3, j)) for j in range(10))
 
     def test_seed_independence(self):
         for m, n in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]:
@@ -361,7 +375,8 @@ class TestTheoremMatrix:
     def test_budget_produces_timeouts_not_failures(self):
         rep = theorem_matrix(6, Deadline(0.0))
         assert all(c.timeout for c in rep.cells)
-        assert rep.agrees
+        # a grid that checked nothing neither agrees nor disagrees
+        assert rep.agrees is None
 
     @pytest.mark.parametrize("k", [40, 200, 600])  # the full grid makes 674 checks
     def test_cut_cell_and_every_later_cell_time_out(self, k):

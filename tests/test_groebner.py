@@ -22,6 +22,7 @@ from laurent_eulerian.groebner import (
     s_polynomial,
     staircase_monomials,
 )
+from laurent_eulerian.laurent import LaurentSpec, constant_term_iterative
 from conftest import random_poly
 
 
@@ -132,6 +133,16 @@ class TestConstantTermIdeals:
         gens = build_ideal(IdealSpec(2, 3))
         assert len(gens) == 4
         assert all(g.nvars == 4 and g.offset == -1 for g in gens)
+
+    @pytest.mark.parametrize(
+        "m,n", [(m, t - m) for t in range(2, 7) for m in range(1, t)]
+    )
+    def test_dehomogenizing_keeps_every_term(self, m, n):
+        # degree and weight fix the endpoint exponents, so no two terms merge
+        gens = build_ideal(IdealSpec(m, n, max_power=m + n))
+        for i, g in enumerate(gens, start=1):
+            source = constant_term_iterative(LaurentSpec(m, n), i)
+            assert len(g.terms) == len(source.terms), i
 
     def test_quotient_dims_match_eulerian(self):
         from laurent_eulerian.eulerian import eulerian

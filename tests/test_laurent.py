@@ -71,11 +71,13 @@ class TestSymbolicConstantTerms:
         for m, n, d in [(1, 1, 2), (2, 2, 2), (1, 2, 3), (3, 3, 3), (2, 2, 4)]:
             spec = sym(m, n, frozenset(range(-m, n + 1, d)))
             full = sym(m, n)
-            dead = {j: 0 for j in range(-m, n + 1) if j not in spec.support}
+            dead = [j + m for j in range(-m, n + 1) if j not in spec.support]
             for i in range(1, 6):
                 a = constant_term_iterative(spec, i)
-                b = constant_term_iterative(full, i).substitute(dead)
-                assert a == b, (m, n, d, i)
+                b = constant_term_iterative(full, i)
+                # a dead variable set to 0 kills every term that contains it
+                live = {e: c for e, c in b.terms.items() if not any(e[t] for t in dead)}
+                assert a == MultiPoly(live, b.nvars, b.offset, QQ), (m, n, d, i)
 
     def test_window_reversal_symmetry(self):
         # x_j -> x_{-j} maps the (m, n) constant term onto the (n, m) one

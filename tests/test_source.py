@@ -1,6 +1,7 @@
 """Static checks on the package source; no linter is installed, so these use ast."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +14,8 @@ PACKAGE = Path(laurent_eulerian.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # the benchmark drives the package from outside and names layers by string
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PYPROJECT = TESTS.parent / "pyproject.toml"
 # kept although no program path calls them: tests check the program against them
 TEST_ORACLES = {
     "normal_form",
@@ -152,3 +155,24 @@ def test_oracles_are_defined():
     # an oracle that no longer exists should leave the list too
     defined = {q for p in MODULES for q, _ in definitions(ast.parse(p.read_text()))}
     assert TEST_ORACLES <= defined
+
+
+def top_level_imports(source: str) -> set:
+    """The top-level modules a source imports, relative imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_test_imports_are_declared():
+    # `pip install -e .[test]` must give everything the tests import
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    declared = set(project["dependencies"]) | set(project["optional-dependencies"]["test"])
+    local = set(sys.stdlib_module_names) | {"laurent_eulerian", "conftest"}
+    imported = set().union(*(top_level_imports(p.read_text()) for p in TESTS.glob("*.py")))
+    assert sorted(imported - local - declared) == []
