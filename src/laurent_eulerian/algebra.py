@@ -21,7 +21,8 @@ class ZeroPolynomialError(ValueError):
 
 
 def _is_prime(p: int) -> bool:
-    # deterministic Miller-Rabin, valid for word-sized integers
+    # deterministic Miller-Rabin, valid below 2^64 (the first composite that
+    # passes all twelve bases is 318665857834031151167461, about 3.2e23)
     if p < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -92,6 +93,8 @@ class PrimeField:
     """Integers modulo a word-sized prime, residues kept in [0, p-1]."""
 
     def __init__(self, p: int):
+        if p >= 2**64:  # _is_prime is a proof only below 2^64
+            raise ValueError(f"expected a prime below 2^64, got {p}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

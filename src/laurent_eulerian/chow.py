@@ -2,9 +2,10 @@
 
 The ring is presented on torus-invariant divisors D_{-m}, ..., D_n modulo a
 monomial ideal (two products of consecutive divisors) and the linear relations
-read off the ray matrix.  Every divisor class reduces to a form a*D_0 + b*D_1,
-and each graded piece is handled by exact linear algebra in the two-variable
-polynomial ring QQ[D_0, D_1].
+read off the ray matrix.  Those relations make every class affine in its
+index, D_j = (1-j)*D_0 + j*D_1 (Fulton, Introduction to Toric Varieties,
+section 3.3), and each graded piece is handled by exact linear algebra in the
+two-variable polynomial ring QQ[D_0, D_1].
 """
 
 from __future__ import annotations
@@ -34,12 +35,22 @@ def ray_matrix(m: int, n: int) -> list:
     return rows
 
 
-@dataclass(frozen=True)
-class DivisorForm:
-    """A divisor class written as a*D_0 + b*D_1."""
+def _linear_form(j: int) -> list:
+    """The class D_j as [a, b], meaning a*D_0 + b*D_1.
 
-    a: Fraction
-    b: Fraction
+    Ray row r reads r*D_{-m} - (r+1)*D_{-m+1} + D_{-m+1+r} = 0, so the classes
+    are affine in their index: D_j = (1-j)*D_0 + j*D_1.
+    """
+    return [Fraction(1 - j), Fraction(j)]
+
+
+def _product(lo: int, hi: int) -> list:
+    """The class D_lo * ... * D_{hi-1} as its coefficients on D_0^(d-t) D_1^t,
+    t = 0..d, where d = hi - lo."""
+    out = [Fraction(1)]
+    for ell in range(lo, hi):
+        out = _unipoly_mul(out, _linear_form(ell))
+    return out
 
 
 class ChowRing:
@@ -52,47 +63,6 @@ class ChowRing:
             raise ValueError("the toric compactification requires m+n > 2")
         self.m = m
         self.n = n
-        self._forms = self._solve_divisor_forms()
-
-    # -- linear relations ----------------------------------------------
-
-    def _solve_divisor_forms(self) -> dict:
-        """Express every D_j in the (D_0, D_1) basis, mechanically from the rays.
-
-        Each matrix row gives the relation sum_j row[j] * D_j = 0; together with
-        D_0 = (1, 0) and D_1 = (0, 1) the system determines every class.
-        """
-        m, n = self.m, self.n
-        ncols = m + n + 1
-        rows = [list(r) for r in ray_matrix(m, n)]
-        unit0 = [0] * ncols
-        unit0[m] = 1  # column of D_0
-        unit1 = [0] * ncols
-        unit1[m + 1] = 1  # column of D_1
-        A = ExactMatrix(rows + [unit0, unit1], QQ)
-        zero = [Fraction(0)] * len(rows)
-        xa = A.solve(zero + [Fraction(1), Fraction(0)])
-        xb = A.solve(zero + [Fraction(0), Fraction(1)])
-        if xa is None or xb is None:
-            raise RuntimeError("ray relations are inconsistent")  # cannot happen
-        # A has full column rank, so the solutions are unique
-        if A.rank() != ncols:
-            raise RuntimeError("ray relations do not determine the divisor classes")
-        return {
-            j: DivisorForm(Fraction(xa[j + m]), Fraction(xb[j + m]))
-            for j in range(-m, n + 1)
-        }
-
-    def divisor_class(self, j: int) -> DivisorForm:
-        if not -self.m <= j <= self.n:
-            raise ValueError(f"divisor index {j} outside [-{self.m}, {self.n}]")
-        return self._forms[j]
-
-    def _linear_form(self, j: int) -> list:
-        f = self.divisor_class(j)
-        return [f.a, f.b]
-
-    # -- graded reduction ----------------------------------------------
 
     def basis_pairs(self, k: int) -> list:
         """Index pairs (i, j) of the codimension-k basis classes, i+j-1 = k."""
@@ -103,23 +73,6 @@ class ChowRing:
             for i in range(1, self.m + 1)
             if 0 <= k + 1 - i <= self.n
         ]
-
-    def _basis_poly(self, i: int, j: int) -> tuple:
-        """The basis class D_{-i+1} ... D_{j-1} as a bivariate form of degree i+j-1."""
-        out = [Fraction(1)]
-        for ell in range(-i + 1, j):
-            out = _unipoly_mul(out, self._linear_form(ell))
-        return tuple(out)
-
-    def _relation_product(self, which: str) -> tuple:
-        if which == "neg":
-            rng = range(-self.m, 0)
-        else:
-            rng = range(0, self.n + 1)
-        out = [Fraction(1)]
-        for ell in rng:
-            out = _unipoly_mul(out, self._linear_form(ell))
-        return tuple(out)
 
     def reduce_to_basis(self, coeffs, k: int) -> dict:
         """Coordinates of a degree-k form sum_t coeffs[t] D_0^(k-t) D_1^t.
@@ -132,10 +85,12 @@ class ChowRing:
         if len(coeffs) != k + 1:
             raise ValueError("expected k+1 homogeneous coefficients")
         pairs = self.basis_pairs(k)
-        columns = [list(self._basis_poly(i, j)) for i, j in pairs]
-        for which, deg in (("neg", self.m), ("pos", self.n + 1)):
+        columns = [_product(-i + 1, j) for i, j in pairs]
+        # the monomial relations D_{-m}...D_{-1} = 0 and D_0...D_n = 0
+        for lo, hi in ((-self.m, 0), (0, self.n + 1)):
+            deg = hi - lo
             if k >= deg:
-                base = list(self._relation_product(which))
+                base = _product(lo, hi)
                 for t in range(k - deg + 1):
                     col = [Fraction(0)] * (k + 1)
                     for s, v in enumerate(base):

@@ -145,18 +145,24 @@ def parse_laurent_terms(s: str) -> dict:
 
 
 def parse_laurent(s: str, field=QQ) -> LaurentSpec:
-    """Numeric LaurentSpec with m = -(min exponent) and n = max exponent."""
-    terms = parse_laurent_terms(s)
-    if not terms:
+    """Numeric LaurentSpec with m = -(min exponent) and n = max exponent, read
+    after reducing the coefficients into the field (3*z is zero over GF(3))."""
+    coeffs = {}
+    for j, c in parse_laurent_terms(s).items():
+        try:
+            c = field.coerce(c)
+        except ZeroDivisionError as err:  # a denominator that vanishes mod p
+            raise ParseError(str(err), 0) from None
+        if c:
+            coeffs[j] = c
+    if not coeffs:
         raise ParseError("polynomial is zero", 0)
-    lo, hi = min(terms), max(terms)
+    lo, hi = min(coeffs), max(coeffs)
     if lo >= 0 or hi <= 0:
         raise ParseError(
             "window polynomial needs a negative and a positive power of z", 0
         )
-    m, n = -lo, hi
-    coeffs = {j: field.coerce(c) for j, c in terms.items()}
-    return LaurentSpec(m, n, frozenset(coeffs), field, coeffs)
+    return LaurentSpec(-lo, hi, frozenset(coeffs), field, coeffs)
 
 
 def _field_arg(text: str):

@@ -80,8 +80,6 @@ def worpitzky_check(k: int) -> bool:
     inv_kfact = Fraction(1, math.factorial(k))
     for i in range(k):
         e = eulerian(k, i)
-        if not e:
-            continue
         # C(z+i, k) = (z+i)(z+i-1)...(z+i-k+1) / k!
         prod = [Fraction(1)]
         for t in range(k):
@@ -168,10 +166,6 @@ class CircularPermutation:
             z = elems.index(0)
             elems = elems[z:] + elems[:z]
         object.__setattr__(self, "elements", elems)
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
 
     def circular_ascents(self) -> int:
         e = self.elements

@@ -29,6 +29,18 @@ class TestFields:
         with pytest.raises(ValueError):
             PrimeField(6)
 
+    def test_prime_field_rejects_composite_past_trial_division(self):
+        # 41 * 43: no trial divisor up to 37 finds it, Miller-Rabin does
+        with pytest.raises(ValueError, match="1763 is not prime"):
+            PrimeField(1763)
+
+    def test_prime_field_rejects_past_word_size(self):
+        # 399165290221 * 798330580441 is a strong pseudoprime to all twelve
+        # Miller-Rabin bases, so only the size check refuses it
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            PrimeField(318665857834031151167461)
+        assert PrimeField(2**64 - 59).p == 2**64 - 59  # the largest prime below 2^64
+
     def test_prime_field_residues_reduced(self):
         assert F7.coerce(-1) == 6
         assert F7.coerce(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from laurent_eulerian.algebra import QQ, ExactMatrix
 from laurent_eulerian.chow import (
     ChowRing,
-    DivisorForm,
+    _linear_form,
+    _product,
     expected_d0_coefficient,
     generic_ci_degree,
     ray_matrix,
@@ -28,26 +30,34 @@ class TestRayMatrix:
 
 class TestDivisorClasses:
     def test_basis_classes_are_units(self):
-        R = ChowRing(2, 3)
-        assert R.divisor_class(0) == DivisorForm(Fraction(1), Fraction(0))
-        assert R.divisor_class(1) == DivisorForm(Fraction(0), Fraction(1))
+        assert _linear_form(0) == [Fraction(1), Fraction(0)]
+        assert _linear_form(1) == [Fraction(0), Fraction(1)]
 
     def test_linear_interpolation_formula(self):
         # the relations force D_j = (1-j) D_0 + j D_1
         for m, n in [(1, 2), (2, 2), (2, 3), (3, 3), (1, 4)]:
-            R = ChowRing(m, n)
             for j in range(-m, n + 1):
-                f = R.divisor_class(j)
-                assert f == DivisorForm(Fraction(1 - j), Fraction(j)), (m, n, j)
+                assert _linear_form(j) == [Fraction(1 - j), Fraction(j)], (m, n, j)
 
     def test_examples(self):
-        R = ChowRing(2, 2)
-        assert R.divisor_class(-1) == DivisorForm(Fraction(2), Fraction(-1))
-        assert R.divisor_class(2) == DivisorForm(Fraction(-1), Fraction(2))
+        assert _linear_form(-1) == [Fraction(2), Fraction(-1)]
+        assert _linear_form(2) == [Fraction(-1), Fraction(2)]
 
-    def test_out_of_window(self):
-        with pytest.raises(ValueError):
-            ChowRing(1, 2).divisor_class(3)
+    def test_closed_form_satisfies_every_ray_row(self):
+        # each row of the ray matrix is a linear relation sum_j row[j] D_j = 0;
+        # with D_0 and D_1 fixed the rows have full column rank, so the closed
+        # form is their only solution
+        for total in range(3, 13):
+            for m in range(1, total):
+                n = total - m
+                forms = [_linear_form(j) for j in range(-m, n + 1)]
+                assert forms[m : m + 2] == [[1, 0], [0, 1]]
+                rows = ray_matrix(m, n)
+                for row in rows:
+                    for t in (0, 1):
+                        assert sum(r * f[t] for r, f in zip(row, forms)) == 0, (m, n, row)
+                units = [[int(c == m + t) for c in range(total + 1)] for t in (0, 1)]
+                assert ExactMatrix(rows + units, QQ).rank() == total + 1, (m, n)
 
     def test_window_too_small(self):
         with pytest.raises(ValueError):
@@ -68,7 +78,8 @@ class TestGradedReduction:
             R = ChowRing(m, n)
             for k in range(1, m + n):
                 for pair in R.basis_pairs(k):
-                    coords = R.reduce_to_basis(list(R._basis_poly(*pair)), k)
+                    i, j = pair
+                    coords = R.reduce_to_basis(_product(-i + 1, j), k)
                     for other in R.basis_pairs(k):
                         want = Fraction(1 if other == pair else 0)
                         assert coords[other] == want, (m, n, k, pair, other)
@@ -81,10 +92,9 @@ class TestGradedReduction:
 
     def test_relation_multiples_vanish(self):
         R = ChowRing(2, 2)
-        for which, deg in (("neg", 2), ("pos", 3)):
-            base = list(R._relation_product(which))
-            coords = R.reduce_to_basis(base, deg)
-            assert all(c == 0 for c in coords.values()), which
+        for lo, hi in ((-2, 0), (0, 3)):
+            coords = R.reduce_to_basis(_product(lo, hi), hi - lo)
+            assert all(c == 0 for c in coords.values()), (lo, hi)
 
     def test_linearity(self):
         R = ChowRing(2, 3)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from laurent_eulerian import experiments
+from laurent_eulerian.algebra import PrimeField
 from laurent_eulerian.cli import (
     ParseError,
     main,
@@ -59,6 +60,35 @@ class TestParser:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse_laurent_terms("1/0*z")
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [("", "empty polynomial", 0),
+         ("2*", "expected 'z'", 2),
+         ("1/", "expected denominator", 2),
+         ("-z", "expected 'z' or coefficient", 0),
+         ("z z", "expected '+' or '-'", 2)],
+    )
+    def test_error_message_and_offset(self, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse_laurent_terms(text)
+        assert str(exc.value) == f"{message} (at offset {position})"
+        assert exc.value.position == position
+
+    def test_explicit_plus_exponent(self):
+        assert parse_laurent_terms("z^+2") == {2: 1}
+
+    def test_coefficients_reduced_before_the_window(self):
+        # 3 = 0 in GF(3): the polynomial is z, which has no negative power
+        with pytest.raises(ParseError, match="negative and a positive power"):
+            parse_laurent("3*z^-1 + z", PrimeField(3))
+        spec = parse_laurent("3*z^-2 + z^-1 + z", PrimeField(3))
+        assert (spec.m, spec.n) == (1, 1)
+        assert spec.coefficients == {-1: 1, 1: 1}
+
+    def test_denominator_vanishing_in_the_field(self):
+        with pytest.raises(ParseError, match="denominator of 1/2 vanishes mod 2"):
+            parse_laurent("1/2*z^-1 + z", PrimeField(2))
 
 
 def run_json(capsys, argv):
@@ -274,7 +304,8 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "non-negative number of seconds" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["4", "0", "abc"])
+    # 318665857834031151167461 is a strong pseudoprime to every Miller-Rabin base
+    @pytest.mark.parametrize("field", ["4", "0", "abc", "318665857834031151167461"])
     def test_bad_field_is_a_usage_error(self, capsys, field):
         with pytest.raises(SystemExit) as exc:
             main(["groebner", "--m", "2", "--n", "2", "--field", field])
@@ -323,7 +354,25 @@ class TestExitCodes:
          pytest.param(["hilbert-slices", "--m", "0", "--n", "2"],
                       "m and n must be positive", id="hilbert-slices-m-0"),
          pytest.param(["hilbert-slices", "--m", "-1", "--n", "2"],
-                      "m and n must be positive", id="hilbert-slices-m--1")],
+                      "m and n must be positive", id="hilbert-slices-m--1"),
+         pytest.param(["const-terms", "--poly", "1/2*z^-1 + z", "--field", "2",
+                       "--power", "2"],
+                      "denominator of 1/2 vanishes mod 2 (at offset 0)",
+                      id="const-terms-denominator-vanishes-mod-2"),
+         pytest.param(["charp-scan", "--p", "2", "--poly", "1/2*z^-1 + z"],
+                      "denominator of 1/2 vanishes mod 2 (at offset 0)",
+                      id="charp-scan-denominator-vanishes-mod-2"),
+         pytest.param(["charp-scan", "--p", "3", "--poly", "3*z^-1 + z"],
+                      "window polynomial needs a negative and a positive power of z"
+                      " (at offset 0)",
+                      id="charp-scan-coefficient-vanishes-mod-3"),
+         pytest.param(["charp-scan", "--p", "318665857834031151167461",
+                       "--poly", "z^-1 + z"],
+                      "expected a prime below 2^64, got 318665857834031151167461",
+                      id="charp-scan-pseudoprime"),
+         pytest.param(["const-terms", "--power", "2"],
+                      "const-terms needs --poly, or both --m and --n",
+                      id="const-terms-without-polynomial")],
     )
     def test_bad_window_or_step_is_a_usage_error(self, capsys, fmt, argv, message):
         # not a crash (exit 3), a silent 0, or a disagreement (exit 1)

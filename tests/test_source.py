@@ -1,6 +1,8 @@
 """Static checks on the package source; no linter is installed, so these use ast."""
 
 import ast
+import re
+import shlex
 import sys
 from collections import Counter
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import laurent_eulerian
+from laurent_eulerian import cli
 
 PACKAGE = Path(laurent_eulerian.__file__).parent
 # __init__.py imports names only to re-export them
@@ -16,9 +19,11 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TESTS = Path(__file__).resolve().parent
 PYPROJECT = TESTS.parent / "pyproject.toml"
+README = TESTS.parent / "README.md"
 # kept although no program path calls them: tests check the program against them
 TEST_ORACLES = {
     "normal_form",
+    "ray_matrix",
     "eulerian_bruteforce",
     "MultiPoly.graded_degree",
     "CircularPermutation.add_one",
@@ -176,3 +181,16 @@ def test_test_imports_are_declared():
     local = set(sys.stdlib_module_names) | {"laurent_eulerian", "conftest"}
     imported = set().union(*(top_level_imports(p.read_text()) for p in TESTS.glob("*.py")))
     assert sorted(imported - local - declared) == []
+
+
+def test_readme_examples_parse():
+    # every `laurent-eulerian ...` line of a README code block, except loop
+    # bodies (lines with a shell variable), is a valid invocation
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("laurent-eulerian ") and "$" not in line]
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a bad example exits 2
+    assert sorted({argv[0] for argv in commands}) == sorted(cli.COMMANDS)
