@@ -297,6 +297,8 @@ def _orbits(args, report):
           ("--m", {"type": int}), ("--n", {"type": int}), FIELD, ("--power", _INT))
 def _const_terms(args, report):
     if args.poly is not None:
+        if args.m is not None or args.n is not None:
+            raise ValueError("const-terms takes --poly or --m and --n, not both")
         spec = parse_laurent(args.poly, args.field)
     elif args.m is None or args.n is None:
         raise ValueError("const-terms needs --poly, or both --m and --n")

@@ -72,10 +72,27 @@ def default_j_max(m: int, n: int) -> int:
 _RANK_PRIMES = (2147483629, 2147482801, 2147482583)
 
 
-def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> np.ndarray:
-    """Row-echelon form of an int64 matrix modulo a 31-bit prime, in place.
+def _slice_keys(monomials, base: int) -> np.ndarray:
+    """Integer keys of exponent vectors whose entries all lie below base.
 
-    A is overwritten.  Returns the original indices of the pivot rows: they
+    The key of u is minus u read as a base-`base` numeral, so keys increase
+    along the descending lex order of slice_monomials, and key(u + v) =
+    key(u) + key(v) while every entry of u + v stays below base.  Raises
+    ValueError when a key could leave int64.
+    """
+    E = np.array(monomials, dtype=np.int64)
+    nvars = E.shape[1]
+    if base**nvars > 2**63:
+        raise ValueError(f"slice keys in base {base} over {nvars} variables overflow int64")
+    return -(E @ base ** np.arange(nvars - 1, -1, -1, dtype=np.int64))
+
+
+def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> np.ndarray:
+    """Row-echelon form of an integer matrix modulo a 31-bit prime, in place.
+
+    A (int32 or int64) is overwritten with residues.  Every product is taken
+    in int64 and written back reduced mod p: a product of two int32 residues
+    would wrap silently.  Returns the original indices of the pivot rows: they
     are linearly independent mod p, every other row lies in their span, and
     their number is the rank mod p.
     """
@@ -97,33 +114,44 @@ def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> n
             A[[r, pr]] = A[[pr, r]]
             perm[[r, pr]] = perm[[pr, r]]
         inv = pow(int(A[r, c]), -1, p)
-        A[r, c:] = A[r, c:] * inv % p
-        below = A[r + 1 :, c]
-        mask = below != 0
-        if mask.any():
-            rows = np.nonzero(mask)[0] + r + 1
-            A[rows, c:] = (A[rows, c:] - below[mask, None] * A[r, c:]) % p
+        A[r, c:] = np.multiply(A[r, c:], inv, dtype=np.int64) % p
+        rows = np.nonzero(A[r + 1 :, c])[0] + r + 1
+        if rows.size:
+            buf = np.multiply(A[rows, c][:, None], A[r, c:], dtype=np.int64)
+            np.subtract(A[rows, c:], buf, out=buf)
+            A[rows, c:] = np.mod(buf, p, out=buf)
         r += 1
     return perm[:r]
+
+
+def _form_row(form: MultiPoly, monomials) -> np.ndarray:
+    """Coefficients of a form over the slice that holds its support."""
+    return np.array([int(form.terms.get(u, 0)) for u in monomials], dtype=np.int32)
+
+
+def _positions(index, a: int, b: int) -> np.ndarray:
+    """Position in slice a+b of q*u, for q in slice a (rows) and u in slice b;
+    index[t] holds the _slice_keys of slice t."""
+    return np.searchsorted(index[a + b], index[a][:, None] + index[b])
 
 
 def _span_matrix(forms, slices, index, j: int,
                  deadline: Optional[Deadline] = None) -> np.ndarray:
     """Span matrix of slice j: row (i, t) holds q*g_i for the t-th monomial q
-    of slice j-i, rows ordered by i then t, columns indexed by slice j."""
+    of slice j-i, rows ordered by i then t, columns indexed by slice j.
+
+    int32 suffices: q*u is injective in u, so every entry is one coefficient.
+    """
     top = min(len(forms), j)
-    target = index[j]
-    A = np.zeros((sum(len(slices[j - i]) for i in range(1, top + 1)), len(target)),
-                 dtype=np.int64)
+    A = np.zeros((sum(len(slices[j - i]) for i in range(1, top + 1)), len(slices[j])),
+                 dtype=np.int32)
     r = 0
     for i in range(1, top + 1):
         if deadline is not None:
             deadline.check()
-        for q in slices[j - i]:
-            for ge, gc in forms[i - 1].terms.items():
-                e = tuple(a + b for a, b in zip(q, ge))
-                A[r, target[e]] += int(gc)
-            r += 1
+        at = _positions(index, j - i, i)
+        A[r + np.arange(len(at))[:, None], at] = _form_row(forms[i - 1], slices[i])
+        r += len(at)
     return A
 
 
@@ -143,55 +171,49 @@ def _exact_slice_rank(forms, slices, index, j: int, deadline: Optional[Deadline]
     elimination.  Each matrix is built afresh for the elimination that
     overwrites it.
     """
-    top = min(len(forms), j)
-    row_keys = [(i, t) for i in range(1, top + 1) for t in range(len(slices[j - i]))]
-    if not row_keys or not index[j]:
+    nrows = sum(len(slices[j - i]) for i in range(1, min(len(forms), j) + 1))
+    if not nrows:
         return 0
-    nrows = len(row_keys)
     for p in _RANK_PRIMES:
         if deadline is not None:
             deadline.check()
         pivots = _rank_mod_p(_span_matrix(forms, slices, index, j, deadline), p, deadline)
         r_low = len(pivots)
-        if r_low == min(nrows, len(index[j])):
+        if r_low == min(nrows, len(slices[j])):
             return r_low
         free = np.ones(nrows, dtype=bool)
         free[pivots] = False
-        cols = {row_keys[k]: c for c, k in enumerate(np.nonzero(free)[0])}
+        cols = np.where(free, np.cumsum(free) - 1, -1)
         S = _koszul_syzygies(forms, slices, index, j, cols, deadline)
-        if len(_rank_mod_p(S, p, deadline)) == len(cols):
+        if len(_rank_mod_p(S, p, deadline)) == nrows - r_low:
             return r_low
     # sandwich did not close (degenerate forms or unlucky primes)
     A = _span_matrix(forms, slices, index, j, deadline)
     return ExactMatrix(A.tolist(), QQ).rank(deadline)
 
 
-def _koszul_syzygies(forms, slices, index, j: int, cols: dict,
+def _koszul_syzygies(forms, slices, index, j: int, cols: np.ndarray,
                      deadline: Optional[Deadline] = None) -> np.ndarray:
     """Koszul syzygy rows, one per (i < k, monomial q of bidegree (j-i-k, 0)),
-    restricted to the span rows (i, t) that cols maps to a column."""
-    pairs = [
-        (i, k)
-        for i, k in itertools.combinations(range(1, min(len(forms), j) + 1), 2)
-        if i + k <= j
-    ]
-    S = np.zeros((sum(len(slices[j - i - k]) for i, k in pairs), len(cols)),
-                 dtype=np.int64)
+    restricted to the span rows that cols maps to a column (-1: left out).
+
+    The g_k block lands in span rows (i, .) and the g_i block in rows (k, .),
+    so, as in the span matrix, every entry is one coefficient.
+    """
+    top = min(len(forms), j)
+    start = np.cumsum([0] + [len(slices[j - i]) for i in range(1, top + 1)])
+    pairs = [(i, k) for i, k in itertools.combinations(range(1, top + 1), 2) if i + k <= j]
+    S = np.zeros((sum(len(slices[j - i - k]) for i, k in pairs), np.count_nonzero(cols >= 0)),
+                 dtype=np.int32)
     r = 0
     for i, k in pairs:
         if deadline is not None:
             deadline.check()
-        qi, qk = index[j - i], index[j - k]
-        for q in slices[j - i - k]:
-            for ge, gc in forms[k - 1].terms.items():
-                c = cols.get((i, qi[tuple(a + b for a, b in zip(q, ge))]))
-                if c is not None:
-                    S[r, c] += int(gc)
-            for ge, gc in forms[i - 1].terms.items():
-                c = cols.get((k, qk[tuple(a + b for a, b in zip(q, ge))]))
-                if c is not None:
-                    S[r, c] -= int(gc)
-            r += 1
+        for row_block, g, sign in ((i, k, 1), (k, i, -1)):
+            at = cols[start[row_block - 1] + _positions(index, j - i - k, g)]
+            t, u = np.nonzero(at >= 0)
+            S[r + t, at[t, u]] = sign * _form_row(forms[g - 1], slices[g])[u]
+        r += len(slices[j - i - k])
     return S
 
 
@@ -214,7 +236,8 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     tried = []
     result = None
     # slice j needs slices 0..j only; each is enumerated in its own step so the
-    # per-slice deadline check bounds the enumeration too
+    # per-slice deadline check bounds the enumeration too.  index[t] holds the
+    # keys of slice t; no exponent in slices 0..j_max exceeds j_max.
     slices, index = [], []
     for attempt in range(_MAX_SEEDS):
         s = seed + attempt
@@ -226,7 +249,7 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
                 deadline.check()
             if j == len(slices):
                 slices.append(slice_monomials(m, n, j))
-                index.append({u: t for t, u in enumerate(slices[j])})
+                index.append(_slice_keys(slices[j], j_max + 1))
             rank = _exact_slice_rank(forms.forms, slices, index, j, deadline)
             dims.append(len(slices[j]) - rank)
         result = GradedDims(m, n, s, tuple(tried), tuple(dims))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -162,7 +163,9 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Normal (degree-minimal) pair selection with the product and chain criteria;
-    ties broken by generator index, so the result is deterministic.  A deadline
+    ties broken by generator index, so the result is deterministic.  Leading
+    monomials never change, so each pair's rank is fixed when it is queued and
+    a heap pops pairs in exactly the order of a full rescan.  A deadline
     is checked once per popped pair, once per element interreduced, and inside
     every reduction (see _reduce).
     """
@@ -179,19 +182,18 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
 
     basis = [_make_primitive(g) for g in gens]
     lms = [max(g.terms, key=key) for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     done = set()
 
-    def pair_rank(pair):
-        i, j = pair
+    def pair_rank(i, j):
         lcm = _monomial_lcm(lms[i], lms[j])
         return (sum(lcm), key(lcm), i, j)
 
+    pairs = [pair_rank(i, j) for i, j in itertools.combinations(range(len(basis)), 2)]
+    heapq.heapify(pairs)
     while pairs:
         if deadline is not None:
             deadline.check()
-        i, j = min(pairs, key=pair_rank)
-        pairs.discard((i, j))
+        *_, i, j = heapq.heappop(pairs)
         done.add((i, j))
         li, lj = lms[i], lms[j]
         lcm = _monomial_lcm(li, lj)
@@ -219,7 +221,8 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
         t = len(basis)
         basis.append(r)
         lms.append(max(r.terms, key=key))
-        pairs.update((u, t) for u in range(t))
+        for u in range(t):
+            heapq.heappush(pairs, pair_rank(u, t))
 
     # minimalize: drop elements whose leading monomial is divisible by another's
     keep = []

@@ -372,7 +372,11 @@ class TestExitCodes:
                       id="charp-scan-pseudoprime"),
          pytest.param(["const-terms", "--power", "2"],
                       "const-terms needs --poly, or both --m and --n",
-                      id="const-terms-without-polynomial")],
+                      id="const-terms-without-polynomial"),
+         pytest.param(["const-terms", "--poly", "z^-1+z", "--m", "3", "--n", "3",
+                       "--power", "2"],
+                      "const-terms takes --poly or --m and --n, not both",
+                      id="const-terms-polynomial-and-window")],
     )
     def test_bad_window_or_step_is_a_usage_error(self, capsys, fmt, argv, message):
         # not a crash (exit 3), a silent 0, or a disagreement (exit 1)

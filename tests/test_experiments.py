@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -13,7 +15,9 @@ from laurent_eulerian.experiments import (
     _RANK_PRIMES,
     GenericFormSet,
     _exact_slice_rank,
+    _koszul_syzygies,
     _rank_mod_p,
+    _slice_keys,
     _span_matrix,
     decomposition_report,
     default_j_max,
@@ -134,7 +138,7 @@ class TestGradedDims:
         m, n, j = 2, 3, 6
         forms = GenericFormSet.generate(m, n, 0).forms
         slices = [slice_monomials(m, n, t) for t in range(j + 1)]
-        index = [{u: t for t, u in enumerate(sl)} for sl in slices]
+        index = [_slice_keys(sl, j + 1) for sl in slices]
         deadline = CountingDeadline()
         assert experiments._exact_slice_rank(forms, slices, index, j, deadline) == 0
         A, S = ranked
@@ -142,7 +146,10 @@ class TestGradedDims:
         # one check for the prime, one per form's row block, one per (i, k) pair
         assert deadline.calls == 1 + 5 + len(pairs)
         assert S.shape == (sum(len(slices[j - i - k]) for i, k in pairs), A.shape[0])
-        assert not (S @ A).any()  # Koszul rows are exact left-null vectors
+        # Koszul rows are exact left-null vectors; in int32 a nonzero entry of
+        # the product could wrap to 0
+        assert S.dtype == A.dtype == np.int32
+        assert not (S.astype(np.int64) @ A).any()
 
     def test_3_3_profile(self):
         r = graded_quotient_dims(3, 3, seed=0)
@@ -151,32 +158,121 @@ class TestGradedDims:
 
 
 def _slice_data(m, n, seed=0):
-    """Forms, slices and slice indices of a window, through its top slice."""
+    """Forms, slices and slice keys of a window, through its top slice."""
     forms = GenericFormSet.generate(m, n, seed).forms
     slices = [slice_monomials(m, n, t) for t in range(default_j_max(m, n) + 1)]
-    index = [{u: t for t, u in enumerate(sl)} for sl in slices]
+    index = [_slice_keys(sl, len(slices)) for sl in slices]
     return forms, slices, index
+
+
+def _span_by_terms(forms, slices, j):
+    """Reference span matrix, built term by term from exponent tuples."""
+    target = {u: t for t, u in enumerate(slices[j])}
+    top = min(len(forms), j)
+    A = np.zeros((sum(len(slices[j - i]) for i in range(1, top + 1)), len(target)),
+                 dtype=np.int64)
+    r = 0
+    for i in range(1, top + 1):
+        for q in slices[j - i]:
+            for ge, gc in forms[i - 1].terms.items():
+                A[r, target[tuple(a + b for a, b in zip(q, ge))]] += int(gc)
+            r += 1
+    return A
+
+
+def _koszul_by_terms(forms, slices, j, cols):
+    """Reference Koszul rows, built term by term; cols[row] < 0 drops a span row."""
+    index = [{u: t for t, u in enumerate(sl)} for sl in slices]
+    top = min(len(forms), j)
+    span_rows = [(i, t) for i in range(1, top + 1) for t in range(len(slices[j - i]))]
+    column = {key: c for key, c in zip(span_rows, cols.tolist()) if c >= 0}
+    pairs = [(i, k) for i, k in itertools.combinations(range(1, top + 1), 2) if i + k <= j]
+    S = np.zeros((sum(len(slices[j - i - k]) for i, k in pairs), len(column)),
+                 dtype=np.int64)
+    r = 0
+    for i, k in pairs:
+        qi, qk = index[j - i], index[j - k]
+        for q in slices[j - i - k]:
+            for ge, gc in forms[k - 1].terms.items():
+                c = column.get((i, qi[tuple(a + b for a, b in zip(q, ge))]))
+                if c is not None:
+                    S[r, c] += int(gc)
+            for ge, gc in forms[i - 1].terms.items():
+                c = column.get((k, qk[tuple(a + b for a, b in zip(q, ge))]))
+                if c is not None:
+                    S[r, c] -= int(gc)
+            r += 1
+    return S
 
 
 SMALL_WINDOWS = [(m, t - m) for t in range(2, 6) for m in range(1, t)]
 _P = _RANK_PRIMES[0]
 _entries = st.integers(-3, 3) | st.sampled_from([_P, -_P, 2 * _P + 1, 2**40])
+# residues whose int32 products wrap, and the int32 extremes
+_int32_entries = st.integers(-3, 3) | st.sampled_from([_P - 1, -(_P - 1), 2**31 - 1, -2**31])
+
+
+def _matrices(entries):
+    return st.integers(1, 6).flatmap(
+        lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), min_size=1, max_size=7))
+
+
+def _check_pivot_rows(rows, dtype):
+    pivots = _rank_mod_p(np.array(rows, dtype=dtype), _P)
+    field = PrimeField(_P)
+    assert len(pivots) == ExactMatrix(rows, field).rank()
+    assert len(set(pivots.tolist())) == len(pivots)
+    if len(pivots):
+        chosen = [rows[k] for k in pivots]
+        assert ExactMatrix(chosen, field).rank() == len(pivots)
 
 
 class TestSliceRankCertificate:
-    @given(st.integers(1, 6).flatmap(
-        lambda c: st.lists(st.lists(_entries, min_size=c, max_size=c),
-                           min_size=1, max_size=7)))
+    @given(_matrices(_entries))
     @settings(max_examples=150, deadline=None)
     def test_pivot_rows_give_the_rank_mod_p(self, rows):
-        M = np.array(rows, dtype=np.int64)
-        pivots = _rank_mod_p(M.copy(), _P)
-        field = PrimeField(_P)
-        assert len(pivots) == ExactMatrix(rows, field).rank()
-        assert len(set(pivots.tolist())) == len(pivots)
-        if len(pivots):
-            chosen = [rows[k] for k in pivots]
-            assert ExactMatrix(chosen, field).rank() == len(pivots)
+        _check_pivot_rows(rows, np.int64)
+
+    @given(_matrices(_int32_entries))
+    @settings(max_examples=150, deadline=None)
+    def test_int32_pivot_rows_give_the_rank_mod_p(self, rows):
+        _check_pivot_rows(rows, np.int32)
+
+    @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
+    def test_builds_match_the_term_by_term_oracle(self, m, n):
+        forms, slices, index = _slice_data(m, n)
+        for j in range(len(slices)):
+            A = _span_matrix(forms, slices, index, j)
+            assert A.dtype == np.int32
+            assert np.array_equal(A, _span_by_terms(forms, slices, j)), (m, n, j)
+            rows = np.arange(A.shape[0])
+            for cols in (rows, np.where(rows % 3, -1, rows // 3)):  # all free, every third
+                S = _koszul_syzygies(forms, slices, index, j, cols)
+                assert S.dtype == np.int32
+                assert np.array_equal(S, _koszul_by_terms(forms, slices, j, cols)), (m, n, j)
+
+    def test_slice_keys_follow_the_slice_order(self):
+        forms, slices, index = _slice_data(2, 3)
+        for keys in index:
+            assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+        # the largest base that fits: 2**63 - 1 is the largest key magnitude
+        assert _slice_keys([(1,) * 63], 2).tolist() == [-(2**63 - 1)]
+        with pytest.raises(ValueError, match="overflow int64"):
+            _slice_keys([(0,) * 13], 66)
+
+    def test_top_slice_memory_per_span_entry(self):
+        # int32 storage with int64 products peaks near 4.7 bytes per entry of
+        # the 1604 x 677 span matrix; int64 storage near 9.2
+        forms, slices, index = _slice_data(2, 4)
+        j = len(slices) - 1
+        entries = sum(len(slices[j - i]) for i in range(1, 7)) * len(slices[j])
+        tracemalloc.start()
+        try:
+            _exact_slice_rank(forms, slices, index, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * entries
 
     @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
     def test_certified_rank_is_the_exact_rank(self, m, n):
