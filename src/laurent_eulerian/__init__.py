@@ -34,7 +34,6 @@ from .groebner import (
 )
 from .laurent import (
     LaurentSpec,
-    charp_scan,
     constant_term_iterative,
     constant_term_multinomial,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "normal_form",
     "quotient_dimension",
     "LaurentSpec",
-    "charp_scan",
     "constant_term_iterative",
     "constant_term_multinomial",
     "decomposition_report",

@@ -1,12 +1,12 @@
 """Command-line surface: every operation behind a subcommand, JSON or text output.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
+Exit codes: 0 success, 1 verification mismatch, 2 usage error or bad input,
 3 an unexpected error (a bug; the traceback goes to stderr).
 
 Every `--budget-seconds` (groebner, degree, conjecture-check, hilbert-slices,
 theorem-matrix) is the same cooperative `Deadline`, checked between Buchberger
-pairs, inside polynomial reductions, between Hilbert slices and at pivot
-columns.  A run that exceeds it reports
+pairs, inside polynomial reductions, before each generic form, between
+Hilbert slices and at pivot columns.  A run that exceeds it reports
 ``result: timeout`` and exits 0; theorem-matrix instead marks the cell it cut
 and every later cell ``status: timeout``.  Nothing interrupts the computation
 from outside, so the budget holds on any thread and any OS.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import traceback
 from fractions import Fraction
@@ -32,137 +31,6 @@ from .eulerian import (
 from .algebra import QQ, PrimeField
 from .deadline import Deadline, DeadlineExceeded, valid_seconds
 from .laurent import LaurentSpec
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at offset {position})")
-        self.position = position
-
-
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<op>[zZ^*/+-]))")
-
-
-def _tokenize(s: str):
-    pos = 0
-    out = []
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m:
-            stripped = s[pos:].lstrip()
-            at = len(s) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("int") is not None:
-            out.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("op"):
-            op = m.group("op").lower()
-            out.append((op, op, m.start("op")))
-        pos = m.end()
-    return out
-
-
-def parse_laurent_terms(s: str) -> dict:
-    """Exponent -> rational coefficient, per the term grammar.
-
-    term ::= [coeff '*'] 'z' ['^' signed-int] | coeff
-    poly ::= term (('+'|'-') term)*
-    coeff ::= integer | integer '/' integer
-    """
-    tokens = _tokenize(s)
-    if not tokens:
-        raise ParseError("empty polynomial", 0)
-    pos = 0
-
-    def peek(kind):
-        return pos < len(tokens) and tokens[pos][0] == kind
-
-    def expect(kind, what):
-        nonlocal pos
-        if not peek(kind):
-            at = tokens[pos][2] if pos < len(tokens) else len(s)
-            raise ParseError(f"expected {what}", at)
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_coeff() -> Fraction:
-        nonlocal pos
-        num = expect("int", "integer")[1]
-        if peek("/"):
-            pos += 1
-            den = expect("int", "denominator")[1]
-            if den == 0:
-                raise ParseError("zero denominator", tokens[pos - 1][2])
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_term():
-        nonlocal pos
-        if peek("int"):
-            c = parse_coeff()
-            if peek("*"):
-                pos += 1
-                expect("z", "'z'")
-                return c, parse_exponent()
-            return c, 0
-        expect("z", "'z' or coefficient")
-        return Fraction(1), parse_exponent()
-
-    def parse_exponent() -> int:
-        nonlocal pos
-        if not peek("^"):
-            return 1
-        pos += 1
-        sign = 1
-        if peek("-"):
-            sign = -1
-            pos += 1
-        elif peek("+"):
-            pos += 1
-        at = tokens[pos][2] if pos < len(tokens) else len(s)
-        if not peek("int"):
-            raise ParseError("expected exponent", at)
-        return sign * expect("int", "exponent")[1]
-
-    terms: dict = {}
-
-    def absorb(sign):
-        c, e = parse_term()
-        terms[e] = terms.get(e, Fraction(0)) + sign * c
-
-    absorb(1)
-    while pos < len(tokens):
-        kind, _, at = tokens[pos]
-        if kind == "+":
-            pos += 1
-            absorb(1)
-        elif kind == "-":
-            pos += 1
-            absorb(-1)
-        else:
-            raise ParseError("expected '+' or '-'", at)
-    return {e: c for e, c in terms.items() if c}
-
-
-def parse_laurent(s: str, field=QQ) -> LaurentSpec:
-    """Numeric LaurentSpec with m = -(min exponent) and n = max exponent, read
-    after reducing the coefficients into the field (3*z is zero over GF(3))."""
-    coeffs = {}
-    for j, c in parse_laurent_terms(s).items():
-        try:
-            c = field.coerce(c)
-        except ZeroDivisionError as err:  # a denominator that vanishes mod p
-            raise ParseError(str(err), 0) from None
-        if c:
-            coeffs[j] = c
-    if not coeffs:
-        raise ParseError("polynomial is zero", 0)
-    lo, hi = min(coeffs), max(coeffs)
-    if lo >= 0 or hi <= 0:
-        raise ParseError(
-            "window polynomial needs a negative and a positive power of z", 0
-        )
-    return LaurentSpec(-lo, hi, frozenset(coeffs), field, coeffs)
 
 
 def _field_arg(text: str):
@@ -293,37 +161,19 @@ def _orbits(args, report):
 
 
 @_command("const-terms", "constant terms of powers, both algorithms",
-          ("--poly", {"help": "numeric window Laurent polynomial, e.g. 'z^-1 + z'"}),
-          ("--m", {"type": int}), ("--n", {"type": int}), FIELD, ("--power", _INT))
+          *WINDOW, FIELD, ("--power", _INT))
 def _const_terms(args, report):
-    if args.poly is not None:
-        if args.m is not None or args.n is not None:
-            raise ValueError("const-terms takes --poly or --m and --n, not both")
-        spec = parse_laurent(args.poly, args.field)
-    elif args.m is None or args.n is None:
-        raise ValueError("const-terms needs --poly, or both --m and --n")
-    else:
-        spec = LaurentSpec(args.m, args.n, field=args.field)
+    spec = LaurentSpec(args.m, args.n, field=args.field)
     a = laurent.constant_term_iterative(spec, args.power)
     b = laurent.constant_term_multinomial(spec, args.power)
     report["inputs"] = {
-        "poly": args.poly,
         "m": spec.m,
         "n": spec.n,
         "power": args.power,
         "field": repr(spec.field),
     }
-    report["result"] = str(a) if spec.symbolic else a
+    report["result"] = str(a)
     report["agreement"] = a == b
-
-
-@_command("charp-scan", "first power with nonzero constant term over GF(p)",
-          ("--p", _INT), ("--poly", {"required": True}),
-          ("--max", {"type": int, "default": 64}))
-def _charp_scan(args, report):
-    hit = laurent.charp_scan(parse_laurent(args.poly, PrimeField(args.p)), args.max)
-    report["inputs"] = {"p": args.p, "poly": args.poly, "max": args.max}
-    report["result"] = "none" if hit is None else hit
 
 
 @_command("groebner", "reduced basis of the constant-term ideal",
@@ -487,7 +337,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = dispatch(args)
-    except (ValueError, TypeError) as err:  # bad input, including ParseError
+    except (ValueError, TypeError) as err:  # bad input
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception:  # a bug, not a disagreement: keep it off exit code 1

@@ -32,7 +32,7 @@ def slice_monomials(m: int, n: int, j: int) -> tuple:
 
 @dataclass(frozen=True)
 class GenericFormSet:
-    """Seeded random forms g_1..g_{m+n}, g_j supported on the degree-(j,0) slice."""
+    """Seeded random forms g_1..g_count, g_j supported on the degree-(j,0) slice."""
 
     m: int
     n: int
@@ -40,11 +40,16 @@ class GenericFormSet:
     forms: tuple
 
     @classmethod
-    def generate(cls, m: int, n: int, seed: int) -> "GenericFormSet":
+    def generate(cls, m: int, n: int, seed: int, count: int,
+                 deadline: Optional[Deadline] = None) -> "GenericFormSet":
+        """The first count forms of the seed's draw, checking the deadline
+        before each: g_j is the same whatever count is."""
         rng = random.Random(seed)
         nvars = m + n + 1
         forms = []
-        for j in range(1, m + n + 1):
+        for j in range(1, count + 1):
+            if deadline is not None:
+                deadline.check()
             terms = {}
             for u in weight_zero_exponents(m, n, j):
                 terms[u] = rng.randint(-_COEFF_BOUND, _COEFF_BOUND)
@@ -225,8 +230,8 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     the quotient dimension is the slice dimension minus the exact rank of that
     span.  A degenerate seed (total above the Eulerian bound) is retried with
     the next seed, up to _MAX_SEEDS seeds, and all tried seeds are reported.  A
-    deadline is checked once per slice, once per prime, and once per pivot
-    column of every elimination.
+    deadline is checked once per drawn form, once per slice, once per prime,
+    and once per pivot column of every elimination.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -237,12 +242,16 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     result = None
     # slice j needs slices 0..j only; each is enumerated in its own step so the
     # per-slice deadline check bounds the enumeration too.  index[t] holds the
-    # keys of slice t; no exponent in slices 0..j_max exceeds j_max.
-    slices, index = [], []
+    # keys of slice t; no exponent in slices 0..j_max exceeds j_max.  Keying
+    # slice 0 first rejects a key width past int64 before any form is drawn.
+    slices = [slice_monomials(m, n, 0)]
+    index = [_slice_keys(slices[0], j_max + 1)]
+    # only g_1..g_{j_max} reach slices 0..j_max
+    count = min(m + n, j_max)
     for attempt in range(_MAX_SEEDS):
         s = seed + attempt
         tried.append(s)
-        forms = GenericFormSet.generate(m, n, s)
+        forms = GenericFormSet.generate(m, n, s, count, deadline)
         dims = []
         for j in range(j_max + 1):
             if deadline is not None:

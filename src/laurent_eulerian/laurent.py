@@ -4,64 +4,36 @@ Two independent algorithms compute the z^0 coefficient of the i-th power of
 
     x_{-m} z^{-m} + x_{-m+1} z^{-m+1} + ... + x_{n-1} z^{n-1} + x_n z^n
 
-restricted to a support set: repeated convolution in z, and direct
-multinomial summation over weight-zero exponent vectors.  In symbolic mode
-the coefficient of z^j is the variable x_j; in numeric mode it is a scalar.
+whose coefficient of z^j is the variable x_j: repeated convolution in z, and
+direct multinomial summation over weight-zero exponent vectors.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Mapping, Optional
 
 from .algebra import QQ, MultiPoly
 
 
 @dataclass(frozen=True)
 class LaurentSpec:
-    """A window Laurent polynomial with support inside {-m, ..., n}."""
+    """The generic window Laurent polynomial on {-m, ..., n} over a field."""
 
     m: int
     n: int
-    support: Optional[frozenset] = None  # None means the whole window
     field: object = QQ
-    coefficients: Optional[Mapping[int, object]] = None  # None means symbolic
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("window requires m >= 1 and n >= 1")
-        if self.support is None:
-            object.__setattr__(
-                self, "support", frozenset(range(-self.m, self.n + 1))
-            )
-        else:
-            object.__setattr__(self, "support", frozenset(self.support))
-        if not {-self.m, self.n} <= self.support:
-            raise ValueError("support must contain both endpoints -m and n")
-        if not all(-self.m <= j <= self.n for j in self.support):
-            raise ValueError("support outside the window")
-        if self.coefficients is not None:
-            coeffs = {j: self.field.coerce(c) for j, c in self.coefficients.items()}
-            if not set(coeffs) <= self.support:
-                raise ValueError("numeric coefficients outside the support")
-            object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def symbolic(self) -> bool:
-        return self.coefficients is None
-
-    def z_coefficients(self):
-        """Mapping z-exponent -> coefficient (MultiPoly if symbolic, scalar if numeric)."""
+    def z_coefficients(self) -> dict:
+        """Mapping z-exponent j -> the variable x_j."""
         nvars = self.m + self.n + 1
-        if self.symbolic:
-            return {
-                j: MultiPoly.variable(j, nvars, -self.m, self.field)
-                for j in sorted(self.support)
-            }
         return {
-            j: c for j in sorted(self.support) if (c := self.coefficients.get(j, self.field.zero))
+            j: MultiPoly.variable(j, nvars, -self.m, self.field)
+            for j in range(-self.m, self.n + 1)
         }
 
 
@@ -70,11 +42,11 @@ def _check_power(i: int):
         raise ValueError("power must be a positive integer (powers are 1-indexed)")
 
 
-def _times_base(current: dict, base: dict, add, mul, lo: int, hi: int) -> dict:
+def _times_base(current: dict, base: dict, lo: int, hi: int) -> dict:
     """current * base as exponent -> coefficient, keeping exponents in [lo, hi].
 
     Coefficients that cancel are dropped.  No product is tested for zero: the
-    coefficients are nonzero elements of a field (or polynomials over one).
+    coefficients are nonzero polynomials over a field.
     """
     out: dict = {}
     for e1, c1 in current.items():
@@ -82,9 +54,9 @@ def _times_base(current: dict, base: dict, add, mul, lo: int, hi: int) -> dict:
             e = e1 + e2
             if not lo <= e <= hi:
                 continue
-            c = mul(c1, c2)
+            c = c1 * c2
             if e in out:
-                s = add(out[e], c)
+                s = out[e] + c
                 if s:
                     out[e] = s
                 else:
@@ -94,43 +66,32 @@ def _times_base(current: dict, base: dict, add, mul, lo: int, hi: int) -> dict:
     return out
 
 
-def constant_term_iterative(spec: LaurentSpec, i: int):
-    """z^0 coefficient of the i-th power, by repeated convolution in z: a
-    MultiPoly in symbolic mode, a scalar otherwise.
+def constant_term_iterative(spec: LaurentSpec, i: int) -> MultiPoly:
+    """z^0 coefficient of the i-th power, by repeated convolution in z.
 
     Exponents that cannot return to zero with the remaining factors are pruned.
     """
     _check_power(i)
     base = spec.z_coefficients()
-    if spec.symbolic:
-        add, mul = operator.add, operator.mul
-    else:
-        add, mul = spec.field.add, spec.field.mul
     current = dict(base)
     for step in range(2, i + 1):
         # what is left must still be cancellable by i - step more factors
         remaining = i - step
-        current = _times_base(current, base, add, mul,
-                              -spec.n * remaining, spec.m * remaining)
+        current = _times_base(current, base, -spec.n * remaining, spec.m * remaining)
     if 0 in current:
         return current[0]
-    if spec.symbolic:
-        return MultiPoly.zero(spec.m + spec.n + 1, -spec.m, spec.field)
-    return spec.field.zero
+    return MultiPoly.zero(spec.m + spec.n + 1, -spec.m, spec.field)
 
 
-def weight_zero_exponents(m: int, n: int, degree: int, support=None):
-    """Exponent vectors u on the support with |u| = degree and sum_j j*u_j = 0.
+def weight_zero_exponents(m: int, n: int, degree: int):
+    """Exponent vectors u on {-m, ..., n} with |u| = degree and sum_j j*u_j = 0.
 
     Deterministic lexicographic enumeration (by exponent of x_{-m}, then
     x_{-m+1}, ...) with branch-and-bound pruning on the achievable weight.
     Yields full (m+n+1)-tuples indexed by x_{-m}..x_n.
     """
-    if support is None:
-        support = range(-m, n + 1)
-    indices = sorted(support)
-    nvars = m + n + 1
-    out_template = [0] * nvars
+    indices = range(-m, n + 1)
+    out_template = [0] * len(indices)
 
     def rec(pos: int, remaining: int, weight: int):
         if pos == len(indices):
@@ -169,48 +130,8 @@ def multinomial(i: int, exps) -> int:
     return out
 
 
-def constant_term_multinomial(spec: LaurentSpec, i: int):
+def constant_term_multinomial(spec: LaurentSpec, i: int) -> MultiPoly:
     """z^0 coefficient of the i-th power, by direct multinomial summation."""
     _check_power(i)
-    fld = spec.field
-    nvars = spec.m + spec.n + 1
-    if spec.symbolic:
-        terms = {}
-        for u in weight_zero_exponents(spec.m, spec.n, i, spec.support):
-            terms[u] = multinomial(i, u)
-        return MultiPoly(terms, nvars, -spec.m, fld)
-    coeffs = {j: spec.coefficients.get(j, fld.zero) for j in spec.support}
-    total = fld.zero
-    for u in weight_zero_exponents(spec.m, spec.n, i, spec.support):
-        c = fld.coerce(multinomial(i, u))
-        for j in spec.support:
-            e = u[j + spec.m]
-            if e:
-                c = fld.mul(c, fld.coerce(coeffs[j] ** e))
-            if not c:
-                break
-        total = fld.add(total, c)
-    return total
-
-
-def charp_scan(spec: LaurentSpec, i_max: int) -> Optional[int]:
-    """Smallest 1 <= i <= i_max whose power has nonzero constant term, else None.
-
-    Works over any field; the interesting case is numeric coefficients in F_p.
-    """
-    if spec.symbolic:
-        raise ValueError("charp_scan requires numeric coefficients")
-    if i_max < 1:
-        raise ValueError("i_max must be positive")
-    base = spec.z_coefficients()
-    current = dict(base)
-    for i in range(1, i_max + 1):
-        if i > 1:
-            # only exponents that can still return to zero by power i_max
-            remaining = i_max - i
-            current = _times_base(current, base, spec.field.add, spec.field.mul,
-                                  -spec.n * remaining, spec.m * remaining)
-        if current.get(0):
-            return i
-    return None
-
+    terms = {u: multinomial(i, u) for u in weight_zero_exponents(spec.m, spec.n, i)}
+    return MultiPoly(terms, spec.m + spec.n + 1, -spec.m, spec.field)

@@ -18,10 +18,10 @@ def degenerate_seeds(monkeypatch, bad) -> None:
     """Stub GenericFormSet.generate so that every seed in bad gets zero forms."""
     real = GenericFormSet.generate
 
-    def generate(m, n, seed):
+    def generate(m, n, seed, count, deadline=None):
         if seed not in bad:
-            return real(m, n, seed)
+            return real(m, n, seed, count, deadline)
         zero = MultiPoly.zero(m + n + 1, -m, QQ)
-        return GenericFormSet(m, n, seed, (zero,) * (m + n))
+        return GenericFormSet(m, n, seed, (zero,) * count)
 
     monkeypatch.setattr(GenericFormSet, "generate", generate)

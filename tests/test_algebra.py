@@ -44,6 +44,8 @@ class TestFields:
     def test_prime_field_residues_reduced(self):
         assert F7.coerce(-1) == 6
         assert F7.coerce(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
+        with pytest.raises(ZeroDivisionError, match="denominator of 1/2 vanishes mod 2"):
+            PrimeField(2).coerce(Fraction(1, 2))
 
     def test_rational_lowest_terms(self):
         c = QQ.coerce(Fraction(2, -4))

@@ -1,94 +1,11 @@
 import json
 import threading
-from fractions import Fraction
 
 import pytest
 
 from laurent_eulerian import experiments
-from laurent_eulerian.algebra import PrimeField
-from laurent_eulerian.cli import (
-    ParseError,
-    main,
-    parse_laurent,
-    parse_laurent_terms,
-)
+from laurent_eulerian.cli import main
 from conftest import degenerate_seeds
-
-
-class TestParser:
-    def test_symmetric_window(self):
-        spec = parse_laurent("z^-1 + z")
-        assert (spec.m, spec.n) == (1, 1)
-        assert spec.coefficients == {-1: Fraction(1), 1: Fraction(1)}
-
-    def test_rational_coefficients_and_gaps(self):
-        spec = parse_laurent("2/3*z^-2 + z + z^3")
-        assert (spec.m, spec.n) == (2, 3)
-        assert spec.coefficients == {
-            -2: Fraction(2, 3),
-            1: Fraction(1),
-            3: Fraction(1),
-        }
-        assert spec.support == frozenset({-2, 1, 3})
-
-    def test_constant_terms_and_cancellation(self):
-        terms = parse_laurent_terms("3 + z - z + 2*z^2")
-        assert terms == {0: Fraction(3), 2: Fraction(2)}
-
-    def test_whitespace_and_case(self):
-        assert parse_laurent_terms("Z^- 1+Z") == parse_laurent_terms("z^-1 + z")
-
-    def test_syntax_error_position(self):
-        with pytest.raises(ParseError) as exc:
-            parse_laurent_terms("z^")
-        assert exc.value.position == 2
-
-    def test_rejects_unknown_character(self):
-        with pytest.raises(ParseError):
-            parse_laurent_terms("z + w")
-
-    def test_rejects_one_sided(self):
-        with pytest.raises(ParseError):
-            parse_laurent("z + z^2")
-        with pytest.raises(ParseError):
-            parse_laurent("z^-1 + 1")
-
-    def test_rejects_zero(self):
-        with pytest.raises(ParseError):
-            parse_laurent("z - z")
-
-    def test_zero_denominator(self):
-        with pytest.raises(ParseError):
-            parse_laurent_terms("1/0*z")
-
-    @pytest.mark.parametrize(
-        "text, message, position",
-        [("", "empty polynomial", 0),
-         ("2*", "expected 'z'", 2),
-         ("1/", "expected denominator", 2),
-         ("-z", "expected 'z' or coefficient", 0),
-         ("z z", "expected '+' or '-'", 2)],
-    )
-    def test_error_message_and_offset(self, text, message, position):
-        with pytest.raises(ParseError) as exc:
-            parse_laurent_terms(text)
-        assert str(exc.value) == f"{message} (at offset {position})"
-        assert exc.value.position == position
-
-    def test_explicit_plus_exponent(self):
-        assert parse_laurent_terms("z^+2") == {2: 1}
-
-    def test_coefficients_reduced_before_the_window(self):
-        # 3 = 0 in GF(3): the polynomial is z, which has no negative power
-        with pytest.raises(ParseError, match="negative and a positive power"):
-            parse_laurent("3*z^-1 + z", PrimeField(3))
-        spec = parse_laurent("3*z^-2 + z^-1 + z", PrimeField(3))
-        assert (spec.m, spec.n) == (1, 1)
-        assert spec.coefficients == {-1: 1, 1: 1}
-
-    def test_denominator_vanishing_in_the_field(self):
-        with pytest.raises(ParseError, match="denominator of 1/2 vanishes mod 2"):
-            parse_laurent("1/2*z^-1 + z", PrimeField(2))
 
 
 def run_json(capsys, argv):
@@ -136,19 +53,6 @@ class TestCommands:
         assert code == 0
         assert rep["agreement"] is True
         assert rep["inputs"]["field"] == "QQ"
-
-    def test_const_terms_numeric(self, capsys):
-        code, rep = run_json(
-            capsys, ["const-terms", "--poly", "z^-1 + z", "--power", "4"]
-        )
-        assert code == 0
-        assert rep["result"] == 6  # central binomial C(4, 2)
-
-    def test_charp_scan(self, capsys):
-        code, rep = run_json(
-            capsys, ["charp-scan", "--p", "2", "--poly", "z^-1 + z", "--max", "32"]
-        )
-        assert code == 0 and rep["result"] == "none"
 
     def test_groebner(self, capsys):
         code, rep = run_json(capsys, ["groebner", "--m", "2", "--n", "2"])
@@ -239,6 +143,15 @@ class TestCommands:
         assert rep["result"]["total"] == 11
         assert rep["agreement"] is True
 
+    def test_low_slices_of_a_large_window(self, capsys):
+        # slices 0..2 use g_1 and g_2 only; (7, 7) has 14 forms
+        code, rep = run_json(
+            capsys, ["hilbert-slices", "--m", "7", "--n", "7", "--j-max", "2"]
+        )
+        assert code == 0
+        assert rep["result"]["dims"] == [1, 0, 6]
+        assert rep["agreement"] is None
+
     def test_degree_reports_the_degree_cell(self, capsys, monkeypatch):
         def cell(m, n, field, deadline=None):
             return experiments.TheoremCell(m, n, 11, "infinite", 11, None)
@@ -261,10 +174,6 @@ class TestCommands:
 
 
 class TestExitCodes:
-    def test_parse_error_is_2(self, capsys):
-        assert main(["const-terms", "--poly", "z^", "--power", "2"]) == 2
-        assert "offset 2" in capsys.readouterr().err
-
     def test_domain_error_is_2(self, capsys):
         assert main(["gen-eulerian", "--k", "4", "--l", "1", "--d", "2"]) == 2
         assert "error" in capsys.readouterr().err
@@ -278,6 +187,16 @@ class TestExitCodes:
         code, rep = run_json(
             capsys,
             ["hilbert-slices", "--m", "3", "--n", "3", "--budget-seconds", "0.05"],
+        )
+        assert code == 0
+        assert rep["result"] == "timeout"
+
+    def test_budget_covers_drawing_the_forms(self, capsys):
+        # g_1..g_12 of (8, 8) take minutes to draw; the budget must cut them
+        code, rep = run_json(
+            capsys,
+            ["hilbert-slices", "--m", "8", "--n", "8", "--j-max", "12",
+             "--budget-seconds", "0.2"],
         )
         assert code == 0
         assert rep["result"] == "timeout"
@@ -355,28 +274,9 @@ class TestExitCodes:
                       "m and n must be positive", id="hilbert-slices-m-0"),
          pytest.param(["hilbert-slices", "--m", "-1", "--n", "2"],
                       "m and n must be positive", id="hilbert-slices-m--1"),
-         pytest.param(["const-terms", "--poly", "1/2*z^-1 + z", "--field", "2",
-                       "--power", "2"],
-                      "denominator of 1/2 vanishes mod 2 (at offset 0)",
-                      id="const-terms-denominator-vanishes-mod-2"),
-         pytest.param(["charp-scan", "--p", "2", "--poly", "1/2*z^-1 + z"],
-                      "denominator of 1/2 vanishes mod 2 (at offset 0)",
-                      id="charp-scan-denominator-vanishes-mod-2"),
-         pytest.param(["charp-scan", "--p", "3", "--poly", "3*z^-1 + z"],
-                      "window polynomial needs a negative and a positive power of z"
-                      " (at offset 0)",
-                      id="charp-scan-coefficient-vanishes-mod-3"),
-         pytest.param(["charp-scan", "--p", "318665857834031151167461",
-                       "--poly", "z^-1 + z"],
-                      "expected a prime below 2^64, got 318665857834031151167461",
-                      id="charp-scan-pseudoprime"),
-         pytest.param(["const-terms", "--power", "2"],
-                      "const-terms needs --poly, or both --m and --n",
-                      id="const-terms-without-polynomial"),
-         pytest.param(["const-terms", "--poly", "z^-1+z", "--m", "3", "--n", "3",
-                       "--power", "2"],
-                      "const-terms takes --poly or --m and --n, not both",
-                      id="const-terms-polynomial-and-window")],
+         pytest.param(["hilbert-slices", "--m", "7", "--n", "7"],
+                      "slice keys in base 91 over 15 variables overflow int64",
+                      id="hilbert-slices-key-overflow")],
     )
     def test_bad_window_or_step_is_a_usage_error(self, capsys, fmt, argv, message):
         # not a crash (exit 3), a silent 0, or a disagreement (exit 1)
@@ -384,6 +284,26 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [pytest.param(["charp-scan", "--p", "2", "--poly", "z^-1 + z"],
+                      "invalid choice: 'charp-scan'", id="charp-scan"),
+         pytest.param(["const-terms", "--poly", "z^-1 + z", "--m", "1", "--n", "1",
+                       "--power", "2"],
+                      "unrecognized arguments: --poly", id="const-terms-poly"),
+         pytest.param(["const-terms", "--power", "2"],
+                      "the following arguments are required: --m, --n",
+                      id="const-terms-without-window")],
+    )
+    def test_numeric_polynomials_are_usage_errors(self, capsys, argv, message):
+        # constant terms are computed for the generic window polynomial only
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_budget_timeout_off_main_thread(self, capsys):
         argv = ["--format", "json", "hilbert-slices", "--m", "3", "--n", "3",

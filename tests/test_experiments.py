@@ -49,14 +49,17 @@ class TestSlices:
 
 class TestGenericForms:
     def test_deterministic_in_seed(self):
-        a = GenericFormSet.generate(2, 2, 42)
-        b = GenericFormSet.generate(2, 2, 42)
-        c = GenericFormSet.generate(2, 2, 43)
+        a = GenericFormSet.generate(2, 2, 42, 4)
+        b = GenericFormSet.generate(2, 2, 42, 4)
+        c = GenericFormSet.generate(2, 2, 43, 4)
         assert a.forms == b.forms
         assert a.forms != c.forms
+        # fewer forms are a prefix of the same draw, so profiles do not
+        # depend on how many forms a slice bound needs
+        assert GenericFormSet.generate(2, 2, 42, 2).forms == a.forms[:2]
 
     def test_form_count_and_degrees(self):
-        fs = GenericFormSet.generate(2, 3, 0)
+        fs = GenericFormSet.generate(2, 3, 0, 5)
         assert len(fs.forms) == 5
         for j, g in enumerate(fs.forms, start=1):
             assert g.graded_degree() == (j, 0)
@@ -111,6 +114,52 @@ class TestGradedDims:
         with pytest.raises(DeadlineExceeded):
             graded_quotient_dims(3, 3, seed=0, deadline=Deadline(0))
 
+    def test_draws_only_the_forms_its_slices_use(self, monkeypatch):
+        counts = []
+        real = GenericFormSet.generate
+
+        def generate(m, n, seed, count, deadline=None):
+            counts.append(count)
+            return real(m, n, seed, count, deadline)
+
+        monkeypatch.setattr(GenericFormSet, "generate", generate)
+        assert graded_quotient_dims(7, 7, j_max=2).dims == (1, 0, 6)
+        assert graded_quotient_dims(2, 3, j_max=3).dims == (1, 0, 1, 2)
+        assert graded_quotient_dims(2, 3).dims == (1, 0, 1, 2, 2, 2, 2, 1, 0, 0)
+        assert counts == [2, 3, 5]
+
+    def test_forms_are_drawn_under_the_deadline(self, monkeypatch):
+        class ExpiringDeadline:
+            """Passes `checks` checks, then expires."""
+
+            def __init__(self, checks):
+                self.checks = checks
+
+            def check(self):
+                if self.checks == 0:
+                    raise DeadlineExceeded("expired")
+                self.checks -= 1
+
+        drawn = []
+        real = experiments.weight_zero_exponents
+
+        def enumerate_slice(m, n, j):
+            drawn.append(j)
+            return real(m, n, j)
+
+        monkeypatch.setattr(experiments, "weight_zero_exponents", enumerate_slice)
+        with pytest.raises(DeadlineExceeded):
+            GenericFormSet.generate(8, 8, 0, 12, ExpiringDeadline(3))
+        assert drawn == [1, 2, 3]
+
+    def test_key_overflow_is_found_before_any_form(self, monkeypatch):
+        def no_forms(*args):
+            raise AssertionError("no form may be drawn when the slice keys overflow")
+
+        monkeypatch.setattr(GenericFormSet, "generate", no_forms)
+        with pytest.raises(ValueError, match="base 91 over 15 variables overflow int64"):
+            graded_quotient_dims(7, 7)
+
     def test_rank_mod_p_checks_deadline(self):
         M = np.eye(4, dtype=np.int64)
         assert len(_rank_mod_p(M, 2147483629, Deadline(3600))) == 4
@@ -136,7 +185,7 @@ class TestGradedDims:
 
         monkeypatch.setattr(experiments, "_rank_mod_p", fake_rank)
         m, n, j = 2, 3, 6
-        forms = GenericFormSet.generate(m, n, 0).forms
+        forms = GenericFormSet.generate(m, n, 0, m + n).forms
         slices = [slice_monomials(m, n, t) for t in range(j + 1)]
         index = [_slice_keys(sl, j + 1) for sl in slices]
         deadline = CountingDeadline()
@@ -159,7 +208,7 @@ class TestGradedDims:
 
 def _slice_data(m, n, seed=0):
     """Forms, slices and slice keys of a window, through its top slice."""
-    forms = GenericFormSet.generate(m, n, seed).forms
+    forms = GenericFormSet.generate(m, n, seed, m + n).forms
     slices = [slice_monomials(m, n, t) for t in range(default_j_max(m, n) + 1)]
     index = [_slice_keys(sl, len(slices)) for sl in slices]
     return forms, slices, index

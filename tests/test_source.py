@@ -194,3 +194,13 @@ def test_readme_examples_parse():
     for argv in commands:
         parser.parse_args(argv)  # a bad example exits 2
     assert sorted({argv[0] for argv in commands}) == sorted(cli.COMMANDS)
+
+
+def test_exports_match_imports():
+    # __all__ lists exactly the names __init__.py imports, and each resolves
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert sorted(laurent_eulerian.__all__) == sorted(imported)
+    for name in laurent_eulerian.__all__:
+        assert getattr(laurent_eulerian, name) is not None, name
