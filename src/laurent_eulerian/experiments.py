@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import QQ, ExactMatrix, MultiPoly
+from .algebra import QQ, ExactMatrix
 from .chow import generic_ci_degree, sparse_ci_degree
 from .deadline import Deadline, DeadlineExceeded
 from .eulerian import divisors, eulerian, deg_Z_circle, orbit_decomposition
@@ -21,40 +21,44 @@ from .laurent import weight_zero_exponents
 _COEFF_BOUND = 10**6
 # seeds tried by graded_quotient_dims before it reports a degenerate profile
 _MAX_SEEDS = 5
+# monomials enumerated by slice_monomials between two deadline checks
+_SLICE_CHECK_EVERY = 4096
 
 
-def slice_monomials(m: int, n: int, j: int) -> tuple:
-    """Monomials of bidegree (j, 0), in lexicographic order."""
+def slice_monomials(m: int, n: int, j: int, deadline: Optional[Deadline] = None) -> tuple:
+    """Monomials of bidegree (j, 0), in lexicographic order; a deadline is
+    checked once per _SLICE_CHECK_EVERY of them."""
     if j < 0:
         raise ValueError("degree must be a natural number")
-    return tuple(weight_zero_exponents(m, n, j))
+    monomials = []
+    for u in weight_zero_exponents(m, n, j):
+        if deadline is not None and len(monomials) % _SLICE_CHECK_EVERY == 0:
+            deadline.check()
+        monomials.append(u)
+    return tuple(monomials)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenericFormSet:
-    """Seeded random forms g_1..g_count, g_j supported on the degree-(j,0) slice."""
+    """Seeded random forms g_1, g_2, ...; g_j is an int32 vector of coefficients
+    over slice j, in slice_monomials order (arrays: no field-wise ==)."""
 
-    m: int
-    n: int
     seed: int
     forms: tuple
 
     @classmethod
-    def generate(cls, m: int, n: int, seed: int, count: int,
-                 deadline: Optional[Deadline] = None) -> "GenericFormSet":
-        """The first count forms of the seed's draw, checking the deadline
-        before each: g_j is the same whatever count is."""
+    def generate(cls, seed: int, sizes, deadline: Optional[Deadline] = None) -> "GenericFormSet":
+        """The first len(sizes) forms of the seed's draw, g_j with sizes[j-1]
+        coefficients, checking the deadline before each: g_j is the same
+        whatever sizes follow."""
         rng = random.Random(seed)
-        nvars = m + n + 1
         forms = []
-        for j in range(1, count + 1):
+        for size in sizes:
             if deadline is not None:
                 deadline.check()
-            terms = {}
-            for u in weight_zero_exponents(m, n, j):
-                terms[u] = rng.randint(-_COEFF_BOUND, _COEFF_BOUND)
-            forms.append(MultiPoly(terms, nvars, -m, QQ))
-        return cls(m, n, seed, tuple(forms))
+            forms.append(np.array([rng.randint(-_COEFF_BOUND, _COEFF_BOUND)
+                                   for _ in range(size)], dtype=np.int32))
+        return cls(seed, tuple(forms))
 
 
 @dataclass(frozen=True)
@@ -129,38 +133,32 @@ def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> n
     return perm[:r]
 
 
-def _form_row(form: MultiPoly, monomials) -> np.ndarray:
-    """Coefficients of a form over the slice that holds its support."""
-    return np.array([int(form.terms.get(u, 0)) for u in monomials], dtype=np.int32)
-
-
 def _positions(index, a: int, b: int) -> np.ndarray:
     """Position in slice a+b of q*u, for q in slice a (rows) and u in slice b;
     index[t] holds the _slice_keys of slice t."""
     return np.searchsorted(index[a + b], index[a][:, None] + index[b])
 
 
-def _span_matrix(forms, slices, index, j: int,
-                 deadline: Optional[Deadline] = None) -> np.ndarray:
+def _span_matrix(forms, index, j: int, deadline: Optional[Deadline] = None) -> np.ndarray:
     """Span matrix of slice j: row (i, t) holds q*g_i for the t-th monomial q
     of slice j-i, rows ordered by i then t, columns indexed by slice j.
 
     int32 suffices: q*u is injective in u, so every entry is one coefficient.
     """
     top = min(len(forms), j)
-    A = np.zeros((sum(len(slices[j - i]) for i in range(1, top + 1)), len(slices[j])),
+    A = np.zeros((sum(len(index[j - i]) for i in range(1, top + 1)), len(index[j])),
                  dtype=np.int32)
     r = 0
     for i in range(1, top + 1):
         if deadline is not None:
             deadline.check()
         at = _positions(index, j - i, i)
-        A[r + np.arange(len(at))[:, None], at] = _form_row(forms[i - 1], slices[i])
+        A[r + np.arange(len(at))[:, None], at] = forms[i - 1]
         r += len(at)
     return A
 
 
-def _exact_slice_rank(forms, slices, index, j: int, deadline: Optional[Deadline] = None):
+def _exact_slice_rank(forms, index, j: int, deadline: Optional[Deadline] = None):
     """Certified exact QQ-rank of the degree-j ideal-slice span A.
 
     Per prime p, let P be the pivot rows of A mod p, r_low = |P|, and N the
@@ -176,28 +174,28 @@ def _exact_slice_rank(forms, slices, index, j: int, deadline: Optional[Deadline]
     elimination.  Each matrix is built afresh for the elimination that
     overwrites it.
     """
-    nrows = sum(len(slices[j - i]) for i in range(1, min(len(forms), j) + 1))
+    nrows = sum(len(index[j - i]) for i in range(1, min(len(forms), j) + 1))
     if not nrows:
         return 0
     for p in _RANK_PRIMES:
         if deadline is not None:
             deadline.check()
-        pivots = _rank_mod_p(_span_matrix(forms, slices, index, j, deadline), p, deadline)
+        pivots = _rank_mod_p(_span_matrix(forms, index, j, deadline), p, deadline)
         r_low = len(pivots)
-        if r_low == min(nrows, len(slices[j])):
+        if r_low == min(nrows, len(index[j])):
             return r_low
         free = np.ones(nrows, dtype=bool)
         free[pivots] = False
         cols = np.where(free, np.cumsum(free) - 1, -1)
-        S = _koszul_syzygies(forms, slices, index, j, cols, deadline)
+        S = _koszul_syzygies(forms, index, j, cols, deadline)
         if len(_rank_mod_p(S, p, deadline)) == nrows - r_low:
             return r_low
     # sandwich did not close (degenerate forms or unlucky primes)
-    A = _span_matrix(forms, slices, index, j, deadline)
+    A = _span_matrix(forms, index, j, deadline)
     return ExactMatrix(A.tolist(), QQ).rank(deadline)
 
 
-def _koszul_syzygies(forms, slices, index, j: int, cols: np.ndarray,
+def _koszul_syzygies(forms, index, j: int, cols: np.ndarray,
                      deadline: Optional[Deadline] = None) -> np.ndarray:
     """Koszul syzygy rows, one per (i < k, monomial q of bidegree (j-i-k, 0)),
     restricted to the span rows that cols maps to a column (-1: left out).
@@ -206,9 +204,9 @@ def _koszul_syzygies(forms, slices, index, j: int, cols: np.ndarray,
     so, as in the span matrix, every entry is one coefficient.
     """
     top = min(len(forms), j)
-    start = np.cumsum([0] + [len(slices[j - i]) for i in range(1, top + 1)])
+    start = np.cumsum([0] + [len(index[j - i]) for i in range(1, top + 1)])
     pairs = [(i, k) for i, k in itertools.combinations(range(1, top + 1), 2) if i + k <= j]
-    S = np.zeros((sum(len(slices[j - i - k]) for i, k in pairs), np.count_nonzero(cols >= 0)),
+    S = np.zeros((sum(len(index[j - i - k]) for i, k in pairs), np.count_nonzero(cols >= 0)),
                  dtype=np.int32)
     r = 0
     for i, k in pairs:
@@ -217,8 +215,8 @@ def _koszul_syzygies(forms, slices, index, j: int, cols: np.ndarray,
         for row_block, g, sign in ((i, k, 1), (k, i, -1)):
             at = cols[start[row_block - 1] + _positions(index, j - i - k, g)]
             t, u = np.nonzero(at >= 0)
-            S[r + t, at[t, u]] = sign * _form_row(forms[g - 1], slices[g])[u]
-        r += len(slices[j - i - k])
+            S[r + t, at[t, u]] = sign * forms[g - 1][u]
+        r += len(index[j - i - k])
     return S
 
 
@@ -228,10 +226,12 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
 
     Slice j of the ideal is spanned by q * g_i with q running over slice j-i;
     the quotient dimension is the slice dimension minus the exact rank of that
-    span.  A degenerate seed (total above the Eulerian bound) is retried with
-    the next seed, up to _MAX_SEEDS seeds, and all tried seeds are reported.  A
-    deadline is checked once per drawn form, once per slice, once per prime,
-    and once per pivot column of every elimination.
+    span.  Each slice is enumerated once, before any seed, and kept as its
+    keys; each seed's forms are coefficient vectors over those slices.  A
+    degenerate seed (total above the Eulerian bound) is retried with the next
+    seed, up to _MAX_SEEDS seeds, and all tried seeds are reported.  A deadline
+    is checked inside each slice enumeration, once per drawn form, once per
+    slice, once per prime, and once per pivot column of every elimination.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -240,27 +240,22 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     bound = eulerian(m + n - 1, m - 1)
     tried = []
     result = None
-    # slice j needs slices 0..j only; each is enumerated in its own step so the
-    # per-slice deadline check bounds the enumeration too.  index[t] holds the
-    # keys of slice t; no exponent in slices 0..j_max exceeds j_max.  Keying
-    # slice 0 first rejects a key width past int64 before any form is drawn.
-    slices = [slice_monomials(m, n, 0)]
-    index = [_slice_keys(slices[0], j_max + 1)]
+    # index[t] holds the keys of slice t; no exponent in slices 0..j_max
+    # exceeds j_max.  Slice 0 is keyed first, with no deadline check, so a key
+    # width past int64 is rejected before anything else runs.
+    index = [_slice_keys(slice_monomials(m, n, t, deadline if t else None), j_max + 1)
+             for t in range(j_max + 1)]
     # only g_1..g_{j_max} reach slices 0..j_max
-    count = min(m + n, j_max)
+    sizes = [len(keys) for keys in index[1 : min(m + n, j_max) + 1]]
     for attempt in range(_MAX_SEEDS):
         s = seed + attempt
         tried.append(s)
-        forms = GenericFormSet.generate(m, n, s, count, deadline)
+        forms = GenericFormSet.generate(s, sizes, deadline).forms
         dims = []
         for j in range(j_max + 1):
             if deadline is not None:
                 deadline.check()
-            if j == len(slices):
-                slices.append(slice_monomials(m, n, j))
-                index.append(_slice_keys(slices[j], j_max + 1))
-            rank = _exact_slice_rank(forms.forms, slices, index, j, deadline)
-            dims.append(len(slices[j]) - rank)
+            dims.append(len(index[j]) - _exact_slice_rank(forms, index, j, deadline))
         result = GradedDims(m, n, s, tuple(tried), tuple(dims))
         if result.total <= bound:
             return result

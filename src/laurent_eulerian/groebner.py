@@ -234,18 +234,16 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
             for k in range(len(basis))
         ):
             keep.append(i)
-    minimal = [basis[i] for i in keep]
-    # interreduce tails and make monic
+    # interreduce tails and make monic, in leading-monomial order; no kept
+    # leading monomial divides another, so lms[i] stays the leading monomial
     reduced = []
-    for t, g in enumerate(minimal):
+    for i in sorted(keep, key=lambda i: key(lms[i])):
         if deadline is not None:
             deadline.check()
-        others = minimal[:t] + minimal[t + 1 :]
-        olms = [max(h.terms, key=key) for h in others]
-        r = _reduce(g, others, olms, key, field, deadline) if others else g
-        lc = r.terms[max(r.terms, key=key)]
-        reduced.append(r.scale(field.inv(lc)))
-    reduced.sort(key=lambda g: key(max(g.terms, key=key)))
+        others = [k for k in keep if k != i]
+        r = _reduce(basis[i], [basis[k] for k in others], [lms[k] for k in others],
+                    key, field, deadline) if others else basis[i]
+        reduced.append(r.scale(field.inv(r.terms[lms[i]])))
     return GroebnerBasis(reduced, order, nvars, offset, field)
 
 

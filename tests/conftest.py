@@ -1,6 +1,8 @@
 import random
 
-from laurent_eulerian.algebra import QQ, MultiPoly
+import numpy as np
+
+from laurent_eulerian.algebra import MultiPoly
 from laurent_eulerian.experiments import GenericFormSet
 
 
@@ -18,10 +20,9 @@ def degenerate_seeds(monkeypatch, bad) -> None:
     """Stub GenericFormSet.generate so that every seed in bad gets zero forms."""
     real = GenericFormSet.generate
 
-    def generate(m, n, seed, count, deadline=None):
+    def generate(seed, sizes, deadline=None):
         if seed not in bad:
-            return real(m, n, seed, count, deadline)
-        zero = MultiPoly.zero(m + n + 1, -m, QQ)
-        return GenericFormSet(m, n, seed, (zero,) * count)
+            return real(seed, sizes, deadline)
+        return GenericFormSet(seed, tuple(np.zeros(size, dtype=np.int32) for size in sizes))
 
     monkeypatch.setattr(GenericFormSet, "generate", generate)

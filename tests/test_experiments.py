@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 
 from laurent_eulerian import experiments
-from laurent_eulerian.algebra import QQ, ExactMatrix, PrimeField
+from laurent_eulerian.algebra import QQ, ExactMatrix, MultiPoly, PrimeField
 from laurent_eulerian.deadline import Deadline, DeadlineExceeded
 from laurent_eulerian.eulerian import eulerian, orbit_decomposition
 from laurent_eulerian.experiments import (
     _RANK_PRIMES,
+    _SLICE_CHECK_EVERY,
     GenericFormSet,
     _exact_slice_rank,
     _koszul_syzygies,
@@ -46,23 +48,67 @@ class TestSlices:
         big = len(slice_monomials(2, 3, 4))
         assert small < big
 
+    def test_enumeration_checks_the_deadline(self):
+        class CountingDeadline:
+            calls = 0
+
+            def check(self):
+                self.calls += 1
+
+        deadline = CountingDeadline()
+        monomials = slice_monomials(6, 6, 10, deadline)
+        assert monomials == slice_monomials(6, 6, 10)
+        assert len(monomials) == 16660
+        assert deadline.calls == math.ceil(len(monomials) / _SLICE_CHECK_EVERY) == 5
+        with pytest.raises(DeadlineExceeded):
+            slice_monomials(6, 6, 10, Deadline(0))
+
+
+def _sizes(m, n, count):
+    """Sizes of slices 1..count, one per form g_1..g_count."""
+    return [len(slice_monomials(m, n, j)) for j in range(1, count + 1)]
+
+
+def _same_forms(a, b) -> bool:
+    return len(a) == len(b) and all(np.array_equal(f, g) for f, g in zip(a, b))
+
 
 class TestGenericForms:
     def test_deterministic_in_seed(self):
-        a = GenericFormSet.generate(2, 2, 42, 4)
-        b = GenericFormSet.generate(2, 2, 42, 4)
-        c = GenericFormSet.generate(2, 2, 43, 4)
-        assert a.forms == b.forms
-        assert a.forms != c.forms
+        sizes = _sizes(2, 2, 4)
+        a = GenericFormSet.generate(42, sizes)
+        b = GenericFormSet.generate(42, sizes)
+        c = GenericFormSet.generate(43, sizes)
+        assert _same_forms(a.forms, b.forms)
+        assert not _same_forms(a.forms, c.forms)
         # fewer forms are a prefix of the same draw, so profiles do not
         # depend on how many forms a slice bound needs
-        assert GenericFormSet.generate(2, 2, 42, 2).forms == a.forms[:2]
+        assert _same_forms(GenericFormSet.generate(42, sizes[:2]).forms, a.forms[:2])
 
     def test_form_count_and_degrees(self):
-        fs = GenericFormSet.generate(2, 3, 0, 5)
+        fs = GenericFormSet.generate(0, _sizes(2, 3, 5))
         assert len(fs.forms) == 5
         for j, g in enumerate(fs.forms, start=1):
-            assert g.graded_degree() == (j, 0)
+            monomials = slice_monomials(2, 3, j)
+            assert g.dtype == np.int32 and len(g) == len(monomials)
+            poly = MultiPoly(dict(zip(monomials, g.tolist())), 6, -2, QQ)
+            assert poly.graded_degree() == (j, 0)
+
+    def test_draw_is_unchanged(self):
+        # one randint per monomial, form by form, in slice_monomials order:
+        # the coefficients g_1..g_3 of (2, 3), seed 0, have always been these
+        pinned = [
+            [770880],
+            [-192083, 589545, 866976],
+            [-117998, -915099, -457013, 72220, 19064, -150792],
+        ]
+        sizes = _sizes(2, 3, 4)
+        forms = GenericFormSet.generate(0, sizes).forms
+        for j, want in enumerate(pinned, start=1):
+            g = forms[j - 1]
+            assert g.dtype == np.int32 and len(g) == len(slice_monomials(2, 3, j))
+            assert g.tolist() == want
+        assert _same_forms(GenericFormSet.generate(0, sizes[:2]).forms, forms[:2])
 
 
 class TestGradedDims:
@@ -118,9 +164,9 @@ class TestGradedDims:
         counts = []
         real = GenericFormSet.generate
 
-        def generate(m, n, seed, count, deadline=None):
-            counts.append(count)
-            return real(m, n, seed, count, deadline)
+        def generate(seed, sizes, deadline=None):
+            counts.append(len(sizes))
+            return real(seed, sizes, deadline)
 
         monkeypatch.setattr(GenericFormSet, "generate", generate)
         assert graded_quotient_dims(7, 7, j_max=2).dims == (1, 0, 6)
@@ -140,17 +186,44 @@ class TestGradedDims:
                     raise DeadlineExceeded("expired")
                 self.checks -= 1
 
-        drawn = []
-        real = experiments.weight_zero_exponents
+        enumerated = []
+        real = experiments.slice_monomials
 
-        def enumerate_slice(m, n, j):
-            drawn.append(j)
-            return real(m, n, j)
+        def enumerate_slice(m, n, j, deadline=None):
+            monomials = real(m, n, j, deadline)
+            enumerated.append(j)
+            return monomials
 
-        monkeypatch.setattr(experiments, "weight_zero_exponents", enumerate_slice)
+        def no_forms(*args):
+            raise AssertionError("no form may be drawn before the slices are enumerated")
+
+        monkeypatch.setattr(experiments, "slice_monomials", enumerate_slice)
+        monkeypatch.setattr(GenericFormSet, "generate", no_forms)
+        # slices 1..3 of (8, 8) take one check each; slice 4 expires at its first
         with pytest.raises(DeadlineExceeded):
-            GenericFormSet.generate(8, 8, 0, 12, ExpiringDeadline(3))
-        assert drawn == [1, 2, 3]
+            graded_quotient_dims(8, 8, j_max=12, deadline=ExpiringDeadline(3))
+        assert enumerated == [0, 1, 2, 3]
+
+    def test_each_slice_is_enumerated_once(self, monkeypatch):
+        # across three seeds, every slice is walked once, and only through
+        # slice_monomials
+        degenerate_seeds(monkeypatch, {0, 1})
+        sliced, walked = [], []
+        real_slice, real_walk = experiments.slice_monomials, experiments.weight_zero_exponents
+
+        def enumerate_slice(m, n, j, deadline=None):
+            sliced.append(j)
+            return real_slice(m, n, j, deadline)
+
+        def walk(m, n, j):
+            walked.append(j)
+            return real_walk(m, n, j)
+
+        monkeypatch.setattr(experiments, "slice_monomials", enumerate_slice)
+        monkeypatch.setattr(experiments, "weight_zero_exponents", walk)
+        r = graded_quotient_dims(2, 3)
+        assert r.seeds_tried == (0, 1, 2)
+        assert sliced == walked == list(range(10))
 
     def test_key_overflow_is_found_before_any_form(self, monkeypatch):
         def no_forms(*args):
@@ -185,16 +258,15 @@ class TestGradedDims:
 
         monkeypatch.setattr(experiments, "_rank_mod_p", fake_rank)
         m, n, j = 2, 3, 6
-        forms = GenericFormSet.generate(m, n, 0, m + n).forms
-        slices = [slice_monomials(m, n, t) for t in range(j + 1)]
-        index = [_slice_keys(sl, j + 1) for sl in slices]
+        index = [_slice_keys(slice_monomials(m, n, t), j + 1) for t in range(j + 1)]
+        forms = GenericFormSet.generate(0, [len(keys) for keys in index[1 : m + n + 1]]).forms
         deadline = CountingDeadline()
-        assert experiments._exact_slice_rank(forms, slices, index, j, deadline) == 0
+        assert experiments._exact_slice_rank(forms, index, j, deadline) == 0
         A, S = ranked
         pairs = [(i, k) for i in range(1, 6) for k in range(i + 1, 6) if i + k <= j]
         # one check for the prime, one per form's row block, one per (i, k) pair
         assert deadline.calls == 1 + 5 + len(pairs)
-        assert S.shape == (sum(len(slices[j - i - k]) for i, k in pairs), A.shape[0])
+        assert S.shape == (sum(len(index[j - i - k]) for i, k in pairs), A.shape[0])
         # Koszul rows are exact left-null vectors; in int32 a nonzero entry of
         # the product could wrap to 0
         assert S.dtype == A.dtype == np.int32
@@ -208,10 +280,15 @@ class TestGradedDims:
 
 def _slice_data(m, n, seed=0):
     """Forms, slices and slice keys of a window, through its top slice."""
-    forms = GenericFormSet.generate(m, n, seed, m + n).forms
     slices = [slice_monomials(m, n, t) for t in range(default_j_max(m, n) + 1)]
     index = [_slice_keys(sl, len(slices)) for sl in slices]
+    forms = GenericFormSet.generate(seed, [len(sl) for sl in slices[1 : m + n + 1]]).forms
     return forms, slices, index
+
+
+def _terms(forms, slices, i):
+    """(exponent tuple, coefficient) pairs of g_i."""
+    return zip(slices[i], forms[i - 1].tolist())
 
 
 def _span_by_terms(forms, slices, j):
@@ -223,7 +300,7 @@ def _span_by_terms(forms, slices, j):
     r = 0
     for i in range(1, top + 1):
         for q in slices[j - i]:
-            for ge, gc in forms[i - 1].terms.items():
+            for ge, gc in _terms(forms, slices, i):
                 A[r, target[tuple(a + b for a, b in zip(q, ge))]] += int(gc)
             r += 1
     return A
@@ -242,11 +319,11 @@ def _koszul_by_terms(forms, slices, j, cols):
     for i, k in pairs:
         qi, qk = index[j - i], index[j - k]
         for q in slices[j - i - k]:
-            for ge, gc in forms[k - 1].terms.items():
+            for ge, gc in _terms(forms, slices, k):
                 c = column.get((i, qi[tuple(a + b for a, b in zip(q, ge))]))
                 if c is not None:
                     S[r, c] += int(gc)
-            for ge, gc in forms[i - 1].terms.items():
+            for ge, gc in _terms(forms, slices, i):
                 c = column.get((k, qk[tuple(a + b for a, b in zip(q, ge))]))
                 if c is not None:
                     S[r, c] -= int(gc)
@@ -291,12 +368,12 @@ class TestSliceRankCertificate:
     def test_builds_match_the_term_by_term_oracle(self, m, n):
         forms, slices, index = _slice_data(m, n)
         for j in range(len(slices)):
-            A = _span_matrix(forms, slices, index, j)
+            A = _span_matrix(forms, index, j)
             assert A.dtype == np.int32
             assert np.array_equal(A, _span_by_terms(forms, slices, j)), (m, n, j)
             rows = np.arange(A.shape[0])
             for cols in (rows, np.where(rows % 3, -1, rows // 3)):  # all free, every third
-                S = _koszul_syzygies(forms, slices, index, j, cols)
+                S = _koszul_syzygies(forms, index, j, cols)
                 assert S.dtype == np.int32
                 assert np.array_equal(S, _koszul_by_terms(forms, slices, j, cols)), (m, n, j)
 
@@ -317,7 +394,7 @@ class TestSliceRankCertificate:
         entries = sum(len(slices[j - i]) for i in range(1, 7)) * len(slices[j])
         tracemalloc.start()
         try:
-            _exact_slice_rank(forms, slices, index, j)
+            _exact_slice_rank(forms, index, j)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -327,9 +404,9 @@ class TestSliceRankCertificate:
     def test_certified_rank_is_the_exact_rank(self, m, n):
         forms, slices, index = _slice_data(m, n)
         for j in range(len(slices)):
-            span = _span_matrix(forms, slices, index, j)
+            span = _span_matrix(forms, index, j)
             want = ExactMatrix(span.tolist(), QQ).rank() if span.size else 0
-            assert _exact_slice_rank(forms, slices, index, j) == want, (m, n, j)
+            assert _exact_slice_rank(forms, index, j) == want, (m, n, j)
 
     def test_koszul_matrix_only_on_the_free_rows(self, monkeypatch):
         events = []
@@ -341,9 +418,9 @@ class TestSliceRankCertificate:
             events.append((shape, len(pivots)))
             return pivots
 
-        def slice_spy(forms, slices, index, j, deadline=None):
+        def slice_spy(forms, index, j, deadline=None):
             events.append(j)
-            return real_slice(forms, slices, index, j, deadline)
+            return real_slice(forms, index, j, deadline)
 
         monkeypatch.setattr(experiments, "_rank_mod_p", rank_spy)
         monkeypatch.setattr(experiments, "_exact_slice_rank", slice_spy)
@@ -384,10 +461,10 @@ class TestSliceRankCertificate:
         monkeypatch.setattr(experiments, "ExactMatrix", RecordingMatrix)
         needs_koszul = []
         for j in range(len(slices)):
-            span = _span_matrix(forms, slices, index, j)
+            span = _span_matrix(forms, index, j)
             want = ExactMatrix(span.tolist(), QQ).rank() if span.size else 0
             before = len(ranked)
-            assert _exact_slice_rank(forms, slices, index, j) == want, j
+            assert _exact_slice_rank(forms, index, j) == want, j
             if want < min(span.shape):
                 needs_koszul.append(j)
                 assert ranked[before:] == [ExactMatrix(span.tolist(), QQ).rows], j

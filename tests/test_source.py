@@ -1,6 +1,8 @@
 """Static checks on the package source; no linter is installed, so these use ast."""
 
 import ast
+import importlib
+import inspect
 import re
 import shlex
 import sys
@@ -154,6 +156,33 @@ def test_no_dead_definitions():
                    for p in sorted(PERFBENCH.glob("*.py"))), Counter())
     assert outside["constant_term_iterative"]  # the benchmark's tracer is read
     assert dead_definitions(sources, outside, TEST_ORACLES) == []
+
+
+def tracer_table(name: str) -> tuple:
+    """A literal table of the benchmark's tracer, read without importing it."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"tracing.py has no table {name}")
+
+
+def test_tracer_names_resolve():
+    # the benchmark wraps these by name; a rename or a changed method kind
+    # would otherwise show only in the benchmark's own suite
+    functions, methods = tracer_table("FUNCTIONS"), tracer_table("METHODS")
+    assert functions and methods
+    for _, home, attr in functions:
+        module = importlib.import_module(f"{PACKAGE.name}.{home}")
+        fn = getattr(module, attr, None)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, (home, attr)
+    kinds = {}
+    for _, home, cls_name, attr in methods:
+        cls = getattr(importlib.import_module(f"{PACKAGE.name}.{home}"), cls_name)
+        assert attr in cls.__dict__, (cls_name, attr)
+        kinds[f"{cls_name}.{attr}"] = type(cls.__dict__[attr])
+    assert kinds["GenericFormSet.generate"] is classmethod
 
 
 def test_oracles_are_defined():
