@@ -78,7 +78,7 @@ def default_j_max(m: int, n: int) -> int:
     return (m + n + 1) * (m + n - 2) // 2
 
 
-_RANK_PRIMES = (2147483629, 2147482801, 2147482583)
+_RANK_PRIMES = (32749, 32719, 32717)
 
 
 def _slice_keys(monomials, base: int) -> np.ndarray:
@@ -97,14 +97,16 @@ def _slice_keys(monomials, base: int) -> np.ndarray:
 
 
 def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> np.ndarray:
-    """Row-echelon form of an integer matrix modulo a 31-bit prime, in place.
+    """Row-echelon form of an integer matrix modulo a prime p < 2**15, in place.
 
-    A (int32 or int64) is overwritten with residues.  Every product is taken
-    in int64 and written back reduced mod p: a product of two int32 residues
-    would wrap silently.  Returns the original indices of the pivot rows: they
-    are linearly independent mod p, every other row lies in their span, and
-    their number is the rank mod p.
+    A (int16 residues, or a wider integer dtype) is overwritten with residues.
+    Products are taken in int32, which holds (p-1)**2 < 2**30, and written back
+    reduced mod p; a larger p is refused (ValueError).  Returns the original
+    indices of the pivot rows: they are linearly independent mod p, every other
+    row lies in their span, and their number is the rank mod p.
     """
+    if p >= 2**15:
+        raise ValueError(f"prime {p} is not below 2**15: int32 products could wrap")
     np.mod(A, p, out=A)
     nrows, ncols = A.shape
     perm = np.arange(nrows)
@@ -123,10 +125,10 @@ def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> n
             A[[r, pr]] = A[[pr, r]]
             perm[[r, pr]] = perm[[pr, r]]
         inv = pow(int(A[r, c]), -1, p)
-        A[r, c:] = np.multiply(A[r, c:], inv, dtype=np.int64) % p
+        A[r, c:] = np.multiply(A[r, c:], inv, dtype=np.int32) % p
         rows = np.nonzero(A[r + 1 :, c])[0] + r + 1
         if rows.size:
-            buf = np.multiply(A[rows, c][:, None], A[r, c:], dtype=np.int64)
+            buf = np.multiply(A[rows, c][:, None], A[r, c:], dtype=np.int32)
             np.subtract(A[rows, c:], buf, out=buf)
             A[rows, c:] = np.mod(buf, p, out=buf)
         r += 1
@@ -143,11 +145,13 @@ def _span_matrix(forms, index, j: int, deadline: Optional[Deadline] = None) -> n
     """Span matrix of slice j: row (i, t) holds q*g_i for the t-th monomial q
     of slice j-i, rows ordered by i then t, columns indexed by slice j.
 
-    int32 suffices: q*u is injective in u, so every entry is one coefficient.
+    The matrix takes the forms' dtype (int32 coefficients, or int16 residues
+    mod p; int16 with no forms): q*u is injective in u, so every entry is one
+    coefficient.
     """
     top = min(len(forms), j)
     A = np.zeros((sum(len(index[j - i]) for i in range(1, top + 1)), len(index[j])),
-                 dtype=np.int32)
+                 dtype=np.result_type(np.int16, *forms))
     r = 0
     for i in range(1, top + 1):
         if deadline is not None:
@@ -171,8 +175,12 @@ def _exact_slice_rank(forms, index, j: int, deadline: Optional[Deadline] = None)
     rank no larger than the QQ rank, so rank_QQ(S) >= rank_QQ(S_N) >=
     rank_p(S_N).  If rank_p(S_N) = |N| = nrows - r_low, then rank_QQ(A) <= r_low
     and the rank is pinned.  If no prime pins it, fall back to exact
-    elimination.  Each matrix is built afresh for the elimination that
-    overwrites it.
+    elimination of the raw int32 forms' span matrix.  The primes lie below
+    2**15, so each prime's matrices hold the forms reduced mod p as int16.
+    Both bounds use only rank_p <= rank_QQ, true for every prime, so a small
+    prime cannot make a certified rank wrong; an unlucky one only leaves the
+    sandwich open for the next prime.  Each matrix is built afresh for the
+    elimination that overwrites it.
     """
     nrows = sum(len(index[j - i]) for i in range(1, min(len(forms), j) + 1))
     if not nrows:
@@ -180,14 +188,15 @@ def _exact_slice_rank(forms, index, j: int, deadline: Optional[Deadline] = None)
     for p in _RANK_PRIMES:
         if deadline is not None:
             deadline.check()
-        pivots = _rank_mod_p(_span_matrix(forms, index, j, deadline), p, deadline)
+        residues = [(f % p).astype(np.int16) for f in forms]
+        pivots = _rank_mod_p(_span_matrix(residues, index, j, deadline), p, deadline)
         r_low = len(pivots)
         if r_low == min(nrows, len(index[j])):
             return r_low
         free = np.ones(nrows, dtype=bool)
         free[pivots] = False
         cols = np.where(free, np.cumsum(free) - 1, -1)
-        S = _koszul_syzygies(forms, index, j, cols, deadline)
+        S = _koszul_syzygies(residues, index, j, cols, deadline)
         if len(_rank_mod_p(S, p, deadline)) == nrows - r_low:
             return r_low
     # sandwich did not close (degenerate forms or unlucky primes)
@@ -201,13 +210,14 @@ def _koszul_syzygies(forms, index, j: int, cols: np.ndarray,
     restricted to the span rows that cols maps to a column (-1: left out).
 
     The g_k block lands in span rows (i, .) and the g_i block in rows (k, .),
-    so, as in the span matrix, every entry is one coefficient.
+    so, as in the span matrix, every entry is one coefficient, in the forms'
+    dtype; for int16 residues x < p < 2**15 the sign -x fits too.
     """
     top = min(len(forms), j)
     start = np.cumsum([0] + [len(index[j - i]) for i in range(1, top + 1)])
     pairs = [(i, k) for i, k in itertools.combinations(range(1, top + 1), 2) if i + k <= j]
     S = np.zeros((sum(len(index[j - i - k]) for i, k in pairs), np.count_nonzero(cols >= 0)),
-                 dtype=np.int32)
+                 dtype=np.result_type(np.int16, *forms))
     r = 0
     for i, k in pairs:
         if deadline is not None:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 
 from laurent_eulerian import experiments
@@ -235,9 +236,17 @@ class TestGradedDims:
 
     def test_rank_mod_p_checks_deadline(self):
         M = np.eye(4, dtype=np.int64)
-        assert len(_rank_mod_p(M, 2147483629, Deadline(3600))) == 4
+        assert len(_rank_mod_p(M, _RANK_PRIMES[0], Deadline(3600))) == 4
         with pytest.raises(DeadlineExceeded):
-            _rank_mod_p(M, 2147483629, Deadline(0))
+            _rank_mod_p(M, _RANK_PRIMES[0], Deadline(0))
+
+    @pytest.mark.parametrize("p", [32771, 2147483629])  # the first prime past 2**15; a 31-bit one
+    def test_rank_mod_p_refuses_primes_whose_products_wrap_int32(self, p):
+        # int32 products are exact only for p < 2**15; the matrix is left untouched
+        M = np.full((2, 2), 2**15 + 2, dtype=np.int64)
+        with pytest.raises(ValueError, match="not below 2\\*\\*15"):
+            _rank_mod_p(M, p)
+        assert (M == 2**15 + 2).all()
 
     def test_matrix_builds_check_the_deadline(self, monkeypatch):
         class CountingDeadline:
@@ -267,10 +276,12 @@ class TestGradedDims:
         # one check for the prime, one per form's row block, one per (i, k) pair
         assert deadline.calls == 1 + 5 + len(pairs)
         assert S.shape == (sum(len(index[j - i - k]) for i, k in pairs), A.shape[0])
-        # Koszul rows are exact left-null vectors; in int32 a nonzero entry of
-        # the product could wrap to 0
-        assert S.dtype == A.dtype == np.int32
-        assert not (S.astype(np.int64) @ A).any()
+        # both matrices hold the forms reduced mod the first prime; Koszul rows
+        # are left-null vectors mod p, and in int16 a nonzero entry of the
+        # product could wrap to 0
+        p = _RANK_PRIMES[0]
+        assert S.dtype == A.dtype == np.int16
+        assert not (S.astype(np.int64) @ A % p).any()
 
     def test_3_3_profile(self):
         r = graded_quotient_dims(3, 3, seed=0)
@@ -334,8 +345,8 @@ def _koszul_by_terms(forms, slices, j, cols):
 SMALL_WINDOWS = [(m, t - m) for t in range(2, 6) for m in range(1, t)]
 _P = _RANK_PRIMES[0]
 _entries = st.integers(-3, 3) | st.sampled_from([_P, -_P, 2 * _P + 1, 2**40])
-# residues whose int32 products wrap, and the int32 extremes
-_int32_entries = st.integers(-3, 3) | st.sampled_from([_P - 1, -(_P - 1), 2**31 - 1, -2**31])
+# residues whose int16 products wrap, and the int16 extremes
+_int16_entries = st.integers(-3, 3) | st.sampled_from([_P - 1, -(_P - 1), 2**15 - 1, -2**15])
 
 
 def _matrices(entries):
@@ -359,23 +370,45 @@ class TestSliceRankCertificate:
     def test_pivot_rows_give_the_rank_mod_p(self, rows):
         _check_pivot_rows(rows, np.int64)
 
-    @given(_matrices(_int32_entries))
+    @given(_matrices(_int16_entries))
     @settings(max_examples=150, deadline=None)
-    def test_int32_pivot_rows_give_the_rank_mod_p(self, rows):
-        _check_pivot_rows(rows, np.int32)
+    def test_int16_pivot_rows_give_the_rank_mod_p(self, rows):
+        _check_pivot_rows(rows, np.int16)
+
+    def test_rank_primes_are_distinct_15_bit_primes(self):
+        assert len(set(_RANK_PRIMES)) == len(_RANK_PRIMES) == 3
+        for p in _RANK_PRIMES:
+            assert sympy.isprime(p) and p < 2**15, p
 
     @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
     def test_builds_match_the_term_by_term_oracle(self, m, n):
+        # the matrices take the forms' dtype: the raw int32 forms give the
+        # oracles exactly, their int16 residues give the oracles mod p; with
+        # no forms, as in (1, 1), every matrix is int16 and has no rows
         forms, slices, index = _slice_data(m, n)
+        residues = [(f % _P).astype(np.int16) for f in forms]
         for j in range(len(slices)):
+            want = _span_by_terms(forms, slices, j)
             A = _span_matrix(forms, index, j)
-            assert A.dtype == np.int32
-            assert np.array_equal(A, _span_by_terms(forms, slices, j)), (m, n, j)
+            assert A.dtype == (np.int32 if forms else np.int16)
+            assert np.array_equal(A, want), (m, n, j)
+            A_p = _span_matrix(residues, index, j)
+            assert A_p.dtype == np.int16
+            assert np.array_equal(A_p, want % _P), (m, n, j)
             rows = np.arange(A.shape[0])
             for cols in (rows, np.where(rows % 3, -1, rows // 3)):  # all free, every third
+                want = _koszul_by_terms(forms, slices, j, cols)
                 S = _koszul_syzygies(forms, index, j, cols)
-                assert S.dtype == np.int32
-                assert np.array_equal(S, _koszul_by_terms(forms, slices, j, cols)), (m, n, j)
+                assert S.dtype == A.dtype
+                assert np.array_equal(S, want), (m, n, j)
+                S_p = _koszul_syzygies(residues, index, j, cols)
+                assert S_p.dtype == np.int16
+                assert np.array_equal(S_p % _P, want % _P), (m, n, j)
+                if cols is rows:
+                    # on every span row, the Koszul rows are left-null
+                    # vectors, exactly and mod p
+                    assert not (S.astype(np.int64) @ A).any(), (m, n, j)
+                    assert not (S_p.astype(np.int64) @ A_p % _P).any(), (m, n, j)
 
     def test_slice_keys_follow_the_slice_order(self):
         forms, slices, index = _slice_data(2, 3)
@@ -387,8 +420,9 @@ class TestSliceRankCertificate:
             _slice_keys([(0,) * 13], 66)
 
     def test_top_slice_memory_per_span_entry(self):
-        # int32 storage with int64 products peaks near 4.7 bytes per entry of
-        # the 1604 x 677 span matrix; int64 storage near 9.2
+        # int16 residues with int32 products peak near 2.4 bytes per entry of
+        # the 1604 x 677 span matrix; int32 storage with int64 products near
+        # 4.7, int64 storage near 9.2
         forms, slices, index = _slice_data(2, 4)
         j = len(slices) - 1
         entries = sum(len(slices[j - i]) for i in range(1, 7)) * len(slices[j])
@@ -398,7 +432,29 @@ class TestSliceRankCertificate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7 * entries
+        assert peak < 3.5 * entries
+
+    def test_first_prime_closes_every_small_window(self, monkeypatch):
+        # every certificate for m+n <= 6 closes on the first 15-bit prime:
+        # neither a second prime nor exact elimination is ever needed
+        primes = []
+        real_rank = experiments._rank_mod_p
+
+        def rank_spy(M, p, deadline=None):
+            primes.append(p)
+            return real_rank(M, p, deadline)
+
+        class NoExactRank(ExactMatrix):
+            def rank(self, deadline=None):
+                raise AssertionError("the exact fallback ran")
+
+        monkeypatch.setattr(experiments, "_rank_mod_p", rank_spy)
+        monkeypatch.setattr(experiments, "ExactMatrix", NoExactRank)
+        for m, n in SMALL_WINDOWS + [(m, 6 - m) for m in range(1, 6)]:
+            for seed in range(3):
+                r = graded_quotient_dims(m, n, seed=seed)
+                assert r.seeds_tried == (seed,) and r.total == eulerian(m + n - 1, m - 1)
+        assert primes and set(primes) == {_RANK_PRIMES[0]}
 
     @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
     def test_certified_rank_is_the_exact_rank(self, m, n):
