@@ -25,16 +25,20 @@ _MAX_SEEDS = 5
 _SLICE_CHECK_EVERY = 4096
 
 
-def slice_monomials(m: int, n: int, j: int, deadline: Optional[Deadline] = None) -> tuple:
-    """Monomials of bidegree (j, 0), in lexicographic order; a deadline is
-    checked once per _SLICE_CHECK_EVERY of them."""
+def slice_monomials(m: int, n: int, j: int, deadline: Optional[Deadline] = None,
+                    x0_free: bool = False) -> tuple:
+    """Monomials of bidegree (j, 0), only those free of x_0 when x0_free, in
+    lexicographic order; a deadline is checked before the first and after
+    every _SLICE_CHECK_EVERY of them."""
     if j < 0:
         raise ValueError("degree must be a natural number")
+    if deadline is not None:
+        deadline.check()
     monomials = []
-    for u in weight_zero_exponents(m, n, j):
+    for u in weight_zero_exponents(m, n, j, x0_free):
+        monomials.append(u)
         if deadline is not None and len(monomials) % _SLICE_CHECK_EVERY == 0:
             deadline.check()
-        monomials.append(u)
     return tuple(monomials)
 
 
@@ -87,8 +91,11 @@ def _slice_keys(monomials, base: int) -> np.ndarray:
     The key of u is minus u read as a base-`base` numeral, so keys increase
     along the descending lex order of slice_monomials, and key(u + v) =
     key(u) + key(v) while every entry of u + v stays below base.  Raises
-    ValueError when a key could leave int64.
+    ValueError when a key could leave int64; an empty slice has no keys and
+    is not checked.
     """
+    if not monomials:
+        return np.zeros(0, dtype=np.int64)
     E = np.array(monomials, dtype=np.int64)
     nvars = E.shape[1]
     if base**nvars > 2**63:
@@ -128,11 +135,39 @@ def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> n
         A[r, c:] = np.multiply(A[r, c:], inv, dtype=np.int32) % p
         rows = np.nonzero(A[r + 1 :, c])[0] + r + 1
         if rows.size:
-            buf = np.multiply(A[rows, c][:, None], A[r, c:], dtype=np.int32)
-            np.subtract(A[rows, c:], buf, out=buf)
-            A[rows, c:] = np.mod(buf, p, out=buf)
+            # only the pivot row's nonzero columns change: the temporaries
+            # scale with the pivot row's support, not the matrix width
+            cols = c + np.nonzero(A[r, c:])[0]
+            at = np.ix_(rows, cols)
+            buf = np.multiply(A[rows, c][:, None], A[r, cols], dtype=np.int32)
+            np.subtract(A[at], buf, out=buf)
+            A[at] = np.mod(buf, p, out=buf)
         r += 1
     return perm[:r]
+
+
+def _full_keys(index, x0: int, t: int) -> np.ndarray:
+    """Sorted keys of every monomial of slice t, x_0**a * v for v in slice t-a
+    of index, which holds x_0-free keys; x0 is the key of x_0."""
+    return np.sort(np.concatenate([index[t - a] + a * x0 for a in range(t + 1)]))
+
+
+def _full_positions(index, x0: int, t: int) -> np.ndarray:
+    """Position of each x_0-free monomial of slice t among all monomials of
+    slice t, counted over the x_0**a multiples of x_0-free slices, so that no
+    full slice is built."""
+    return sum(np.searchsorted(index[t - a], index[t] - a * x0) for a in range(t + 1))
+
+
+def _form_degrees(forms, j: int) -> range:
+    """Degrees i of the forms g_i whose multiples span the ideal in slice j.
+
+    x_0 is the only weight-zero monomial of degree 1, so g_1 = c*x_0.
+    graded_quotient_dims quotients x_0 out when c != 0, restricting every form
+    to its x_0-free terms, which leaves g_1 zero; when c = 0, g_1 is zero as
+    it stands.  Either way g_1 spans no row, so the span starts at g_2.
+    """
+    return range(2, min(len(forms), j) + 1)
 
 
 def _positions(index, a: int, b: int) -> np.ndarray:
@@ -142,18 +177,19 @@ def _positions(index, a: int, b: int) -> np.ndarray:
 
 
 def _span_matrix(forms, index, j: int, deadline: Optional[Deadline] = None) -> np.ndarray:
-    """Span matrix of slice j: row (i, t) holds q*g_i for the t-th monomial q
-    of slice j-i, rows ordered by i then t, columns indexed by slice j.
+    """Span matrix of slice j: row (i, t) holds q*g_i for i >= 2 (see
+    _form_degrees) and the t-th monomial q of slice j-i, rows ordered by i
+    then t, columns indexed by slice j.
 
     The matrix takes the forms' dtype (int32 coefficients, or int16 residues
     mod p; int16 with no forms): q*u is injective in u, so every entry is one
     coefficient.
     """
-    top = min(len(forms), j)
-    A = np.zeros((sum(len(index[j - i]) for i in range(1, top + 1)), len(index[j])),
+    degrees = _form_degrees(forms, j)
+    A = np.zeros((sum(len(index[j - i]) for i in degrees), len(index[j])),
                  dtype=np.result_type(np.int16, *forms))
     r = 0
-    for i in range(1, top + 1):
+    for i in degrees:
         if deadline is not None:
             deadline.check()
         at = _positions(index, j - i, i)
@@ -182,7 +218,7 @@ def _exact_slice_rank(forms, index, j: int, deadline: Optional[Deadline] = None)
     sandwich open for the next prime.  Each matrix is built afresh for the
     elimination that overwrites it.
     """
-    nrows = sum(len(index[j - i]) for i in range(1, min(len(forms), j) + 1))
+    nrows = sum(len(index[j - i]) for i in _form_degrees(forms, j))
     if not nrows:
         return 0
     for p in _RANK_PRIMES:
@@ -206,16 +242,17 @@ def _exact_slice_rank(forms, index, j: int, deadline: Optional[Deadline] = None)
 
 def _koszul_syzygies(forms, index, j: int, cols: np.ndarray,
                      deadline: Optional[Deadline] = None) -> np.ndarray:
-    """Koszul syzygy rows, one per (i < k, monomial q of bidegree (j-i-k, 0)),
-    restricted to the span rows that cols maps to a column (-1: left out).
+    """Koszul syzygy rows, one per (i < k, monomial q of slice j-i-k) over the
+    _form_degrees, restricted to the span rows that cols maps to a column
+    (-1: left out).
 
     The g_k block lands in span rows (i, .) and the g_i block in rows (k, .),
     so, as in the span matrix, every entry is one coefficient, in the forms'
     dtype; for int16 residues x < p < 2**15 the sign -x fits too.
     """
-    top = min(len(forms), j)
-    start = np.cumsum([0] + [len(index[j - i]) for i in range(1, top + 1)])
-    pairs = [(i, k) for i, k in itertools.combinations(range(1, top + 1), 2) if i + k <= j]
+    degrees = _form_degrees(forms, j)
+    start = dict(zip(degrees, np.cumsum([0] + [len(index[j - i]) for i in degrees])))
+    pairs = [(i, k) for i, k in itertools.combinations(degrees, 2) if i + k <= j]
     S = np.zeros((sum(len(index[j - i - k]) for i, k in pairs), np.count_nonzero(cols >= 0)),
                  dtype=np.result_type(np.int16, *forms))
     r = 0
@@ -223,7 +260,7 @@ def _koszul_syzygies(forms, index, j: int, cols: np.ndarray,
         if deadline is not None:
             deadline.check()
         for row_block, g, sign in ((i, k, 1), (k, i, -1)):
-            at = cols[start[row_block - 1] + _positions(index, j - i - k, g)]
+            at = cols[start[row_block] + _positions(index, j - i - k, g)]
             t, u = np.nonzero(at >= 0)
             S[r + t, at[t, u]] = sign * forms[g - 1][u]
         r += len(index[j - i - k])
@@ -236,12 +273,19 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
 
     Slice j of the ideal is spanned by q * g_i with q running over slice j-i;
     the quotient dimension is the slice dimension minus the exact rank of that
-    span.  Each slice is enumerated once, before any seed, and kept as its
-    keys; each seed's forms are coefficient vectors over those slices.  A
-    degenerate seed (total above the Eulerian bound) is retried with the next
-    seed, up to _MAX_SEEDS seeds, and all tried seeds are reported.  A deadline
-    is checked inside each slice enumeration, once per drawn form, once per
-    slice, once per prime, and once per pivot column of every elimination.
+    span.  g_1 = c*x_0, and R_0 is a polynomial ring in x_0 over its x_0-free
+    part R_0', so for c != 0 the quotient is R_0'/(g_2', ..., g_N'), g_i' being
+    g_i with its x_0-divisible terms dropped: each slice is ranked on its
+    x_0-free monomials only, and the g_1 rows are never built.  For c = 0 the
+    same ranking runs on the full slices with g_2, ..., g_N.
+
+    Only the x_0-free part of each slice is enumerated, once, before any seed,
+    and kept as its keys; the full slices are x_0**a multiples of them.  The
+    forms are drawn over the full slices, as coefficient vectors.  A degenerate
+    seed (total above the Eulerian bound) is retried with the next seed, up to
+    _MAX_SEEDS seeds, and all tried seeds are reported.  A deadline is checked
+    inside each slice enumeration, once per drawn form, once per slice, once
+    per prime, and once per pivot column of every elimination.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -250,22 +294,34 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     bound = eulerian(m + n - 1, m - 1)
     tried = []
     result = None
-    # index[t] holds the keys of slice t; no exponent in slices 0..j_max
-    # exceeds j_max.  Slice 0 is keyed first, with no deadline check, so a key
-    # width past int64 is rejected before anything else runs.
-    index = [_slice_keys(slice_monomials(m, n, t, deadline if t else None), j_max + 1)
+    # index[t] holds the keys of the x_0-free monomials of slice t; no
+    # exponent in slices 0..j_max exceeds j_max.  Slice 0 is keyed first, with
+    # no deadline check, so a key width past int64 is rejected before anything
+    # else runs.
+    base = j_max + 1
+    index = [_slice_keys(slice_monomials(m, n, t, deadline if t else None, x0_free=True), base)
              for t in range(j_max + 1)]
-    # only g_1..g_{j_max} reach slices 0..j_max
-    sizes = [len(keys) for keys in index[1 : min(m + n, j_max) + 1]]
+    x0 = -base**n  # the key of x_0, the (m+1)-th of m+n+1 variables
+    # only g_1..g_{j_max} reach slices 0..j_max; slice i has
+    # sum_{k <= i} len(index[k]) monomials
+    top = min(m + n, j_max)
+    sizes = np.cumsum([len(keys) for keys in index[: top + 1]])[1:].tolist()
+    at = [_full_positions(index, x0, i) for i in range(1, top + 1)]
     for attempt in range(_MAX_SEEDS):
         s = seed + attempt
         tried.append(s)
-        forms = GenericFormSet.generate(s, sizes, deadline).forms
+        drawn = GenericFormSet.generate(s, sizes, deadline).forms
+        if not drawn or drawn[0][0]:
+            # c != 0: the x_0-free slices, with g_2', ..., g_N'
+            keys, forms = index, [g[p] for g, p in zip(drawn, at)]
+        else:
+            # c = 0: the full slices, with g_2, ..., g_N
+            keys, forms = [_full_keys(index, x0, t) for t in range(j_max + 1)], drawn
         dims = []
         for j in range(j_max + 1):
             if deadline is not None:
                 deadline.check()
-            dims.append(len(index[j]) - _exact_slice_rank(forms, index, j, deadline))
+            dims.append(len(keys[j]) - _exact_slice_rank(forms, keys, j, deadline))
         result = GradedDims(m, n, s, tuple(tried), tuple(dims))
         if result.total <= bound:
             return result

@@ -83,15 +83,16 @@ def constant_term_iterative(spec: LaurentSpec, i: int) -> MultiPoly:
     return MultiPoly.zero(spec.m + spec.n + 1, -spec.m, spec.field)
 
 
-def weight_zero_exponents(m: int, n: int, degree: int):
-    """Exponent vectors u on {-m, ..., n} with |u| = degree and sum_j j*u_j = 0.
+def weight_zero_exponents(m: int, n: int, degree: int, x0_free: bool = False):
+    """Exponent vectors u on {-m, ..., n} with |u| = degree and sum_j j*u_j = 0,
+    only those with u_0 = 0 when x0_free.
 
     Deterministic lexicographic enumeration (by exponent of x_{-m}, then
     x_{-m+1}, ...) with branch-and-bound pruning on the achievable weight.
     Yields full (m+n+1)-tuples indexed by x_{-m}..x_n.
     """
-    indices = range(-m, n + 1)
-    out_template = [0] * len(indices)
+    indices = [j for j in range(-m, n + 1) if j or not x0_free]
+    out_template = [0] * (m + n + 1)
 
     def rec(pos: int, remaining: int, weight: int):
         if pos == len(indices):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
+from sympy.polys.matrices import DomainMatrix
 
 from laurent_eulerian import experiments
 from laurent_eulerian.algebra import QQ, ExactMatrix, MultiPoly, PrimeField
@@ -18,6 +19,8 @@ from laurent_eulerian.experiments import (
     _SLICE_CHECK_EVERY,
     GenericFormSet,
     _exact_slice_rank,
+    _full_keys,
+    _full_positions,
     _koszul_syzygies,
     _rank_mod_p,
     _slice_keys,
@@ -29,7 +32,7 @@ from laurent_eulerian.experiments import (
     slice_monomials,
     theorem_matrix,
 )
-from conftest import degenerate_seeds
+from conftest import degenerate_seeds, zero_first_form
 
 
 class TestSlices:
@@ -190,8 +193,8 @@ class TestGradedDims:
         enumerated = []
         real = experiments.slice_monomials
 
-        def enumerate_slice(m, n, j, deadline=None):
-            monomials = real(m, n, j, deadline)
+        def enumerate_slice(m, n, j, deadline=None, x0_free=False):
+            monomials = real(m, n, j, deadline, x0_free)
             enumerated.append(j)
             return monomials
 
@@ -206,25 +209,26 @@ class TestGradedDims:
         assert enumerated == [0, 1, 2, 3]
 
     def test_each_slice_is_enumerated_once(self, monkeypatch):
-        # across three seeds, every slice is walked once, and only through
-        # slice_monomials
+        # across three seeds, every slice is walked once, only through
+        # slice_monomials, and only for its x_0-free monomials: the zero forms
+        # of seeds 0 and 1 rank the full slices, built from those keys
         degenerate_seeds(monkeypatch, {0, 1})
         sliced, walked = [], []
         real_slice, real_walk = experiments.slice_monomials, experiments.weight_zero_exponents
 
-        def enumerate_slice(m, n, j, deadline=None):
-            sliced.append(j)
-            return real_slice(m, n, j, deadline)
+        def enumerate_slice(m, n, j, deadline=None, x0_free=False):
+            sliced.append((j, x0_free))
+            return real_slice(m, n, j, deadline, x0_free)
 
-        def walk(m, n, j):
-            walked.append(j)
-            return real_walk(m, n, j)
+        def walk(m, n, j, x0_free=False):
+            walked.append((j, x0_free))
+            return real_walk(m, n, j, x0_free)
 
         monkeypatch.setattr(experiments, "slice_monomials", enumerate_slice)
         monkeypatch.setattr(experiments, "weight_zero_exponents", walk)
         r = graded_quotient_dims(2, 3)
         assert r.seeds_tried == (0, 1, 2)
-        assert sliced == walked == list(range(10))
+        assert sliced == walked == [(j, True) for j in range(10)]
 
     def test_key_overflow_is_found_before_any_form(self, monkeypatch):
         def no_forms(*args):
@@ -266,15 +270,16 @@ class TestGradedDims:
             return np.arange(n_pivots)
 
         monkeypatch.setattr(experiments, "_rank_mod_p", fake_rank)
-        m, n, j = 2, 3, 6
-        index = [_slice_keys(slice_monomials(m, n, t), j + 1) for t in range(j + 1)]
-        forms = GenericFormSet.generate(0, [len(keys) for keys in index[1 : m + n + 1]]).forms
+        j = 6
+        forms, slices, index = _slice_data(2, 3)
         deadline = CountingDeadline()
         assert experiments._exact_slice_rank(forms, index, j, deadline) == 0
         A, S = ranked
-        pairs = [(i, k) for i in range(1, 6) for k in range(i + 1, 6) if i + k <= j]
-        # one check for the prime, one per form's row block, one per (i, k) pair
-        assert deadline.calls == 1 + 5 + len(pairs)
+        pairs = [(i, k) for i in range(2, 6) for k in range(i + 1, 6) if i + k <= j]
+        assert pairs == [(2, 3), (2, 4)]
+        # one check for the prime, one per row block of g_2..g_5, one per
+        # (i, k) pair; g_1 has no block
+        assert deadline.calls == 1 + 4 + len(pairs)
         assert S.shape == (sum(len(index[j - i - k]) for i, k in pairs), A.shape[0])
         # both matrices hold the forms reduced mod the first prime; Koszul rows
         # are left-null vectors mod p, and in int16 a nonzero entry of the
@@ -289,11 +294,19 @@ class TestGradedDims:
         assert r.total == 66
 
 
-def _slice_data(m, n, seed=0):
-    """Forms, slices and slice keys of a window, through its top slice."""
-    slices = [slice_monomials(m, n, t) for t in range(default_j_max(m, n) + 1)]
+def _slice_data(m, n, seed=0, x0_free=True):
+    """Forms, slices and slice keys of a window, through its top slice: the
+    x_0-free monomials of each slice and the forms restricted to them, or with
+    x0_free=False the full slices and forms."""
+    full = [slice_monomials(m, n, t) for t in range(default_j_max(m, n) + 1)]
+    drawn = GenericFormSet.generate(seed, [len(sl) for sl in full[1 : m + n + 1]]).forms
+    if x0_free:
+        keep = [[k for k, u in enumerate(sl) if u[m] == 0] for sl in full]
+        slices = [tuple(sl[k] for k in ks) for sl, ks in zip(full, keep)]
+        forms = [g[ks] for g, ks in zip(drawn, keep[1:])]
+    else:
+        slices, forms = full, drawn
     index = [_slice_keys(sl, len(slices)) for sl in slices]
-    forms = GenericFormSet.generate(seed, [len(sl) for sl in slices[1 : m + n + 1]]).forms
     return forms, slices, index
 
 
@@ -302,14 +315,14 @@ def _terms(forms, slices, i):
     return zip(slices[i], forms[i - 1].tolist())
 
 
-def _span_by_terms(forms, slices, j):
-    """Reference span matrix, built term by term from exponent tuples."""
+def _span_by_terms(forms, slices, j, first=2):
+    """Reference span matrix of g_first, g_first+1, ..., built term by term
+    from exponent tuples."""
     target = {u: t for t, u in enumerate(slices[j])}
-    top = min(len(forms), j)
-    A = np.zeros((sum(len(slices[j - i]) for i in range(1, top + 1)), len(target)),
-                 dtype=np.int64)
+    degrees = range(first, min(len(forms), j) + 1)
+    A = np.zeros((sum(len(slices[j - i]) for i in degrees), len(target)), dtype=np.int64)
     r = 0
-    for i in range(1, top + 1):
+    for i in degrees:
         for q in slices[j - i]:
             for ge, gc in _terms(forms, slices, i):
                 A[r, target[tuple(a + b for a, b in zip(q, ge))]] += int(gc)
@@ -317,13 +330,22 @@ def _span_by_terms(forms, slices, j):
     return A
 
 
+def _rank_over_qq(A):
+    """Exact rank of an integer matrix, by sympy's DomainMatrix over ZZ."""
+    if not A.size:
+        return 0
+    return DomainMatrix([[sympy.ZZ(x) for x in row] for row in A.tolist()], A.shape,
+                        sympy.ZZ).rank()
+
+
 def _koszul_by_terms(forms, slices, j, cols):
-    """Reference Koszul rows, built term by term; cols[row] < 0 drops a span row."""
+    """Reference Koszul rows among g_2, g_3, ..., built term by term;
+    cols[row] < 0 drops a span row."""
     index = [{u: t for t, u in enumerate(sl)} for sl in slices]
-    top = min(len(forms), j)
-    span_rows = [(i, t) for i in range(1, top + 1) for t in range(len(slices[j - i]))]
+    degrees = range(2, min(len(forms), j) + 1)
+    span_rows = [(i, t) for i in degrees for t in range(len(slices[j - i]))]
     column = {key: c for key, c in zip(span_rows, cols.tolist()) if c >= 0}
-    pairs = [(i, k) for i, k in itertools.combinations(range(1, top + 1), 2) if i + k <= j]
+    pairs = [(i, k) for i, k in itertools.combinations(degrees, 2) if i + k <= j]
     S = np.zeros((sum(len(slices[j - i - k]) for i, k in pairs), len(column)),
                  dtype=np.int64)
     r = 0
@@ -382,9 +404,10 @@ class TestSliceRankCertificate:
 
     @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
     def test_builds_match_the_term_by_term_oracle(self, m, n):
-        # the matrices take the forms' dtype: the raw int32 forms give the
-        # oracles exactly, their int16 residues give the oracles mod p; with
-        # no forms, as in (1, 1), every matrix is int16 and has no rows
+        # on the x_0-free monomials, with the forms restricted to them and
+        # g_1 left out, the matrices take the forms' dtype: the raw int32 forms
+        # give the oracles exactly, their int16 residues give the oracles mod
+        # p; with no forms, as in (1, 1), every matrix is int16 and has no rows
         forms, slices, index = _slice_data(m, n)
         residues = [(f % _P).astype(np.int16) for f in forms]
         for j in range(len(slices)):
@@ -419,20 +442,38 @@ class TestSliceRankCertificate:
         with pytest.raises(ValueError, match="overflow int64"):
             _slice_keys([(0,) * 13], 66)
 
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
+    def test_full_slices_from_the_x0_free_keys(self, m, n):
+        # slice t holds the x_0**a multiples of the x_0-free slices t-a: their
+        # keys rebuild the full slice's keys, in order, and place each x_0-free
+        # monomial at its position among them; slice 1 has no x_0-free monomial
+        _, slices, index = _slice_data(m, n)
+        base = len(slices)
+        x0 = _slice_keys([(0,) * m + (1,) + (0,) * n], base)[0]
+        assert x0 == -base**n and len(index[1]) == 0
+        for t in range(base):
+            full = slice_monomials(m, n, t)
+            assert np.array_equal(_full_keys(index, x0, t), _slice_keys(full, base)), t
+            want = [k for k, u in enumerate(full) if not u[m]]
+            assert _full_positions(index, x0, t).tolist() == want, t
+
     def test_top_slice_memory_per_span_entry(self):
-        # int16 residues with int32 products peak near 2.4 bytes per entry of
-        # the 1604 x 677 span matrix; int32 storage with int64 products near
-        # 4.7, int64 storage near 9.2
+        # the x_0-free top slice of (2, 4) spans a 321 x 165 matrix (1604 x 677
+        # with x_0); int16 residues, updated only on the pivot row's support,
+        # peak near 2.5 bytes per entry of it, and near 4.0 when every update
+        # spans the row's whole width
         forms, slices, index = _slice_data(2, 4)
         j = len(slices) - 1
-        entries = sum(len(slices[j - i]) for i in range(1, 7)) * len(slices[j])
+        shape = (sum(len(slices[j - i]) for i in range(2, 7)), len(slices[j]))
+        assert shape == (321, 165)
+        entries = shape[0] * shape[1]
         tracemalloc.start()
         try:
             _exact_slice_rank(forms, index, j)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * entries
+        assert peak < 3.0 * entries
 
     def test_first_prime_closes_every_small_window(self, monkeypatch):
         # every certificate for m+n <= 6 closes on the first 15-bit prime:
@@ -464,6 +505,33 @@ class TestSliceRankCertificate:
             want = ExactMatrix(span.tolist(), QQ).rank() if span.size else 0
             assert _exact_slice_rank(forms, index, j) == want, (m, n, j)
 
+    @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
+    def test_x0_quotient_keeps_the_full_rank(self, m, n):
+        # g_1 = c*x_0 with c != 0 adds the x_0 multiples of slice j-1 to the
+        # span, so the exact rank of the full span of g_1..g_N is s_{j-1} plus
+        # the certified rank of the x_0-free span of g_2'..g_N'
+        for seed in range(3):
+            full_forms, full, _ = _slice_data(m, n, seed, x0_free=False)
+            forms, _, index = _slice_data(m, n, seed)
+            assert not full_forms or full_forms[0][0] != 0
+            for j in range(len(full)):
+                want = _rank_over_qq(_span_by_terms(full_forms, full, j, first=1))
+                below = len(full[j - 1]) if j else 0
+                assert below + _exact_slice_rank(forms, index, j) == want, (m, n, seed, j)
+
+    @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
+    def test_zero_g1_ranks_the_full_slices(self, m, n, monkeypatch):
+        # with c = 0 the quotient is by g_2..g_N on the full slices, ranked by
+        # the same kernel; x_0 then survives in slice 1.  The profile checked
+        # is that of the last seed tried
+        zero_first_form(monkeypatch)
+        r = graded_quotient_dims(m, n)
+        forms, full, _ = _slice_data(m, n, r.seed, x0_free=False)
+        for j, dim in enumerate(r.dims):
+            want = _rank_over_qq(_span_by_terms(forms, full, j, first=2))
+            assert dim == len(full[j]) - want, (m, n, r.seed, j)
+        assert r.dims[1:2] == (1,) * (len(r.dims) > 1)
+
     def test_koszul_matrix_only_on_the_free_rows(self, monkeypatch):
         events = []
         real_rank, real_slice = experiments._rank_mod_p, experiments._exact_slice_rank
@@ -489,10 +557,14 @@ class TestSliceRankCertificate:
             else:
                 calls[j].append(e)
         assert sorted(calls) == list(range(10))
+        _, slices, _ = _slice_data(2, 3)
         for j, ranked in calls.items():
             if not ranked:
-                continue  # slice 0 spans nothing
+                continue  # slices 0 and 1 span nothing
             (nrows, ncols), r_low = ranked[0]
+            # the span matrix is x_0-free: rows of g_2..g_5, no g_1 rows
+            assert nrows == sum(len(slices[j - i]) for i in range(2, min(5, j) + 1)), j
+            assert ncols == len(slices[j]), j
             if r_low == min(nrows, ncols):
                 assert len(ranked) == 1, j  # pinned by size: no Koszul matrix
             else:
@@ -526,7 +598,7 @@ class TestSliceRankCertificate:
                 assert ranked[before:] == [ExactMatrix(span.tolist(), QQ).rows], j
             else:
                 assert len(ranked) == before, j
-        assert needs_koszul == [3, 4, 5, 6, 7]
+        assert needs_koszul == [5, 6, 7]
 
 
 class TestDecomposition:

@@ -100,3 +100,6 @@ class TestEnumeration:
                 and sum((j - m) * e for j, e in enumerate(u)) == 0
             }
             assert set(weight_zero_exponents(m, n, deg)) == brute
+            # the x_0-free walk keeps the lexicographic order of the full one
+            full = list(weight_zero_exponents(m, n, deg))
+            assert list(weight_zero_exponents(m, n, deg, True)) == [u for u in full if not u[m]]
