@@ -25,17 +25,16 @@ _MAX_SEEDS = 5
 _SLICE_CHECK_EVERY = 4096
 
 
-def slice_monomials(m: int, n: int, j: int, deadline: Optional[Deadline] = None,
-                    x0_free: bool = False) -> tuple:
-    """Monomials of bidegree (j, 0), only those free of x_0 when x0_free, in
-    lexicographic order; a deadline is checked before the first and after
-    every _SLICE_CHECK_EVERY of them."""
+def slice_monomials(m: int, n: int, j: int, deadline: Optional[Deadline] = None) -> tuple:
+    """The x_0-free monomials of bidegree (j, 0), in lexicographic order; a
+    deadline is checked before the first and after every _SLICE_CHECK_EVERY
+    of them."""
     if j < 0:
         raise ValueError("degree must be a natural number")
     if deadline is not None:
         deadline.check()
     monomials = []
-    for u in weight_zero_exponents(m, n, j, x0_free):
+    for u in weight_zero_exponents(m, n, j, x0_free=True):
         monomials.append(u)
         if deadline is not None and len(monomials) % _SLICE_CHECK_EVERY == 0:
             deadline.check()
@@ -45,7 +44,7 @@ def slice_monomials(m: int, n: int, j: int, deadline: Optional[Deadline] = None,
 @dataclass(frozen=True, eq=False)
 class GenericFormSet:
     """Seeded random forms g_1, g_2, ...; g_j is an int32 vector of coefficients
-    over slice j, in slice_monomials order (arrays: no field-wise ==)."""
+    over the x_0-free slice j, in slice_monomials order (arrays: no field-wise ==)."""
 
     seed: int
     forms: tuple
@@ -104,9 +103,10 @@ def _slice_keys(monomials, base: int) -> np.ndarray:
 
 
 def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> np.ndarray:
-    """Row-echelon form of an integer matrix modulo a prime p < 2**15, in place.
+    """Pivot rows of an integer matrix modulo a prime p < 2**15, eliminated in place.
 
-    A (int16 residues, or a wider integer dtype) is overwritten with residues.
+    A (int16 residues, or a wider integer dtype) is left overwritten with
+    residues, not in row-echelon form: pivot columns are never cleared.
     Products are taken in int32, which holds (p-1)**2 < 2**30, and written back
     reduced mod p; a larger p is refused (ValueError).  Returns the original
     indices of the pivot rows: they are linearly independent mod p, every other
@@ -135,9 +135,9 @@ def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> n
         A[r, c:] = np.multiply(A[r, c:], inv, dtype=np.int32) % p
         rows = np.nonzero(A[r + 1 :, c])[0] + r + 1
         if rows.size:
-            # only the pivot row's nonzero columns change: the temporaries
-            # scale with the pivot row's support, not the matrix width
-            cols = c + np.nonzero(A[r, c:])[0]
+            # no later step reads column c; the temporaries scale with the
+            # pivot row's support right of it, not the matrix width
+            cols = c + 1 + np.nonzero(A[r, c + 1 :])[0]
             at = np.ix_(rows, cols)
             buf = np.multiply(A[rows, c][:, None], A[r, cols], dtype=np.int32)
             np.subtract(A[at], buf, out=buf)
@@ -146,26 +146,12 @@ def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> n
     return perm[:r]
 
 
-def _full_keys(index, x0: int, t: int) -> np.ndarray:
-    """Sorted keys of every monomial of slice t, x_0**a * v for v in slice t-a
-    of index, which holds x_0-free keys; x0 is the key of x_0."""
-    return np.sort(np.concatenate([index[t - a] + a * x0 for a in range(t + 1)]))
-
-
-def _full_positions(index, x0: int, t: int) -> np.ndarray:
-    """Position of each x_0-free monomial of slice t among all monomials of
-    slice t, counted over the x_0**a multiples of x_0-free slices, so that no
-    full slice is built."""
-    return sum(np.searchsorted(index[t - a], index[t] - a * x0) for a in range(t + 1))
-
-
 def _form_degrees(forms, j: int) -> range:
     """Degrees i of the forms g_i whose multiples span the ideal in slice j.
 
-    x_0 is the only weight-zero monomial of degree 1, so g_1 = c*x_0.
-    graded_quotient_dims quotients x_0 out when c != 0, restricting every form
-    to its x_0-free terms, which leaves g_1 zero; when c = 0, g_1 is zero as
-    it stands.  Either way g_1 spans no row, so the span starts at g_2.
+    x_0 is the only weight-zero monomial of degree 1, so g_1 = x_0 up to a
+    scalar; graded_quotient_dims quotients it out, and the x_0-free slice 1 it
+    leaves is empty, so g_1 spans no row and the span starts at g_2.
     """
     return range(2, min(len(forms), j) + 1)
 
@@ -273,19 +259,19 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
 
     Slice j of the ideal is spanned by q * g_i with q running over slice j-i;
     the quotient dimension is the slice dimension minus the exact rank of that
-    span.  g_1 = c*x_0, and R_0 is a polynomial ring in x_0 over its x_0-free
-    part R_0', so for c != 0 the quotient is R_0'/(g_2', ..., g_N'), g_i' being
-    g_i with its x_0-divisible terms dropped: each slice is ranked on its
-    x_0-free monomials only, and the g_1 rows are never built.  For c = 0 the
-    same ranking runs on the full slices with g_2, ..., g_N.
+    span.  A generic g_1 is a nonzero multiple of x_0, the only weight-zero
+    monomial of degree 1, and R_0 is a polynomial ring in x_0 over its x_0-free
+    part R_0', so the quotient is R_0'/(g_2', ..., g_N') with g_i' = g_i mod
+    x_0.  Generic residues are as generic as generic forms, so each g_i' is
+    drawn directly over the x_0-free slice i, and each slice is ranked on its
+    x_0-free monomials.
 
-    Only the x_0-free part of each slice is enumerated, once, before any seed,
-    and kept as its keys; the full slices are x_0**a multiples of them.  The
-    forms are drawn over the full slices, as coefficient vectors.  A degenerate
-    seed (total above the Eulerian bound) is retried with the next seed, up to
-    _MAX_SEEDS seeds, and all tried seeds are reported.  A deadline is checked
-    inside each slice enumeration, once per drawn form, once per slice, once
-    per prime, and once per pivot column of every elimination.
+    Each x_0-free slice is enumerated once, before any seed, and kept as its
+    keys.  A degenerate seed (total above the Eulerian bound) is retried with
+    the next seed, up to _MAX_SEEDS seeds, and all tried seeds are reported.
+    A deadline is checked inside each slice enumeration, once per drawn form,
+    once per slice, once per prime, and once per pivot column of every
+    elimination.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -298,30 +284,19 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     # exponent in slices 0..j_max exceeds j_max.  Slice 0 is keyed first, with
     # no deadline check, so a key width past int64 is rejected before anything
     # else runs.
-    base = j_max + 1
-    index = [_slice_keys(slice_monomials(m, n, t, deadline if t else None, x0_free=True), base)
+    index = [_slice_keys(slice_monomials(m, n, t, deadline if t else None), j_max + 1)
              for t in range(j_max + 1)]
-    x0 = -base**n  # the key of x_0, the (m+1)-th of m+n+1 variables
-    # only g_1..g_{j_max} reach slices 0..j_max; slice i has
-    # sum_{k <= i} len(index[k]) monomials
-    top = min(m + n, j_max)
-    sizes = np.cumsum([len(keys) for keys in index[: top + 1]])[1:].tolist()
-    at = [_full_positions(index, x0, i) for i in range(1, top + 1)]
+    # only g_1'..g_{j_max}' reach slices 0..j_max
+    sizes = [len(keys) for keys in index[1 : min(m + n, j_max) + 1]]
     for attempt in range(_MAX_SEEDS):
         s = seed + attempt
         tried.append(s)
-        drawn = GenericFormSet.generate(s, sizes, deadline).forms
-        if not drawn or drawn[0][0]:
-            # c != 0: the x_0-free slices, with g_2', ..., g_N'
-            keys, forms = index, [g[p] for g, p in zip(drawn, at)]
-        else:
-            # c = 0: the full slices, with g_2, ..., g_N
-            keys, forms = [_full_keys(index, x0, t) for t in range(j_max + 1)], drawn
+        forms = GenericFormSet.generate(s, sizes, deadline).forms
         dims = []
         for j in range(j_max + 1):
             if deadline is not None:
                 deadline.check()
-            dims.append(len(keys[j]) - _exact_slice_rank(forms, keys, j, deadline))
+            dims.append(len(index[j]) - _exact_slice_rank(forms, index, j, deadline))
         result = GradedDims(m, n, s, tuple(tried), tuple(dims))
         if result.total <= bound:
             return result

@@ -327,8 +327,7 @@ def ideal_quotient_dimension(m: int, n: int, field=QQ,
     )
 
 
-def conjecture_unit_check(m: int, n: int, field=QQ,
-                          deadline: Optional[Deadline] = None) -> bool:
-    """Finite evidence only: whether powers 1..m+n generate the unit ideal."""
-    spec = IdealSpec(m, n, max_power=m + n, field=field)
+def conjecture_unit_check(m: int, n: int, deadline: Optional[Deadline] = None) -> bool:
+    """Finite evidence only: whether powers 1..m+n generate the unit ideal over QQ."""
+    spec = IdealSpec(m, n, max_power=m + n)
     return groebner_of_ideal(spec, deadline=deadline).is_unit

@@ -27,15 +27,3 @@ def degenerate_seeds(monkeypatch, bad) -> None:
 
     monkeypatch.setattr(GenericFormSet, "generate", generate)
 
-
-def zero_first_form(monkeypatch) -> None:
-    """Stub GenericFormSet.generate so that g_1 = c*x_0 is drawn with c = 0,
-    every other coefficient as drawn."""
-    real = GenericFormSet.generate
-
-    def generate(seed, sizes, deadline=None):
-        forms = real(seed, sizes, deadline).forms
-        return GenericFormSet(seed, tuple(np.zeros_like(g) if i == 0 else g
-                                          for i, g in enumerate(forms)))
-
-    monkeypatch.setattr(GenericFormSet, "generate", generate)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -19,8 +20,6 @@ from laurent_eulerian.experiments import (
     _SLICE_CHECK_EVERY,
     GenericFormSet,
     _exact_slice_rank,
-    _full_keys,
-    _full_positions,
     _koszul_syzygies,
     _rank_mod_p,
     _slice_keys,
@@ -32,20 +31,24 @@ from laurent_eulerian.experiments import (
     slice_monomials,
     theorem_matrix,
 )
-from conftest import degenerate_seeds, zero_first_form
+from laurent_eulerian.laurent import weight_zero_exponents
+from conftest import degenerate_seeds
 
 
 class TestSlices:
     def test_degree_one_slice(self):
-        # only x_0 has bidegree (1, 0)
-        assert slice_monomials(2, 3, 1) == ((0, 0, 1, 0, 0, 0),)
+        # only x_0 has bidegree (1, 0), so the x_0-free slice 1 is empty
+        assert list(weight_zero_exponents(2, 3, 1)) == [(0, 0, 1, 0, 0, 0)]
+        assert slice_monomials(2, 3, 1) == ()
 
     def test_degree_zero_slice(self):
         assert slice_monomials(1, 1, 0) == ((0, 0, 0),)
 
     def test_degree_two_slice(self):
-        # x_0^2 and x_{-1} x_1 for the symmetric window (1, 1)
-        assert set(slice_monomials(1, 1, 2)) == {(0, 2, 0), (1, 0, 1)}
+        # x_0^2 and x_{-1} x_1 for the symmetric window (1, 1); only the
+        # second is free of x_0
+        assert set(weight_zero_exponents(1, 1, 2)) == {(0, 2, 0), (1, 0, 1)}
+        assert slice_monomials(1, 1, 2) == ((1, 0, 1),)
 
     def test_slice_sizes_grow_with_window(self):
         small = len(slice_monomials(1, 2, 4))
@@ -62,15 +65,20 @@ class TestSlices:
         deadline = CountingDeadline()
         monomials = slice_monomials(6, 6, 10, deadline)
         assert monomials == slice_monomials(6, 6, 10)
-        assert len(monomials) == 16660
-        assert deadline.calls == math.ceil(len(monomials) / _SLICE_CHECK_EVERY) == 5
+        assert len(monomials) == 8510
+        assert deadline.calls == math.ceil(len(monomials) / _SLICE_CHECK_EVERY) == 3
         with pytest.raises(DeadlineExceeded):
             slice_monomials(6, 6, 10, Deadline(0))
 
 
+def _full_slice(m, n, j):
+    """Every monomial of slice j, x_0 included."""
+    return tuple(weight_zero_exponents(m, n, j))
+
+
 def _sizes(m, n, count):
-    """Sizes of slices 1..count, one per form g_1..g_count."""
-    return [len(slice_monomials(m, n, j)) for j in range(1, count + 1)]
+    """Sizes of the full slices 1..count, one per form g_1..g_count."""
+    return [len(_full_slice(m, n, j)) for j in range(1, count + 1)]
 
 
 def _same_forms(a, b) -> bool:
@@ -93,7 +101,7 @@ class TestGenericForms:
         fs = GenericFormSet.generate(0, _sizes(2, 3, 5))
         assert len(fs.forms) == 5
         for j, g in enumerate(fs.forms, start=1):
-            monomials = slice_monomials(2, 3, j)
+            monomials = _full_slice(2, 3, j)
             assert g.dtype == np.int32 and len(g) == len(monomials)
             poly = MultiPoly(dict(zip(monomials, g.tolist())), 6, -2, QQ)
             assert poly.graded_degree() == (j, 0)
@@ -110,7 +118,7 @@ class TestGenericForms:
         forms = GenericFormSet.generate(0, sizes).forms
         for j, want in enumerate(pinned, start=1):
             g = forms[j - 1]
-            assert g.dtype == np.int32 and len(g) == len(slice_monomials(2, 3, j))
+            assert g.dtype == np.int32 and len(g) == len(_full_slice(2, 3, j))
             assert g.tolist() == want
         assert _same_forms(GenericFormSet.generate(0, sizes[:2]).forms, forms[:2])
 
@@ -146,7 +154,8 @@ class TestGradedDims:
         degenerate_seeds(monkeypatch, range(10))
         r = graded_quotient_dims(2, 3)
         assert r.seeds_tried == (0, 1, 2, 3, 4) and r.seed == 4
-        # zero forms span nothing: every slice of the ring survives
+        # zero forms span nothing: g_1 = x_0 is taken as given, so the
+        # profile is that of R_0/(x_0), the x_0-free slice sizes
         assert r.dims == tuple(len(slice_monomials(2, 3, j)) for j in range(10))
 
     def test_seed_independence(self):
@@ -193,8 +202,8 @@ class TestGradedDims:
         enumerated = []
         real = experiments.slice_monomials
 
-        def enumerate_slice(m, n, j, deadline=None, x0_free=False):
-            monomials = real(m, n, j, deadline, x0_free)
+        def enumerate_slice(m, n, j, deadline=None):
+            monomials = real(m, n, j, deadline)
             enumerated.append(j)
             return monomials
 
@@ -210,15 +219,14 @@ class TestGradedDims:
 
     def test_each_slice_is_enumerated_once(self, monkeypatch):
         # across three seeds, every slice is walked once, only through
-        # slice_monomials, and only for its x_0-free monomials: the zero forms
-        # of seeds 0 and 1 rank the full slices, built from those keys
+        # slice_monomials, and only for its x_0-free monomials
         degenerate_seeds(monkeypatch, {0, 1})
         sliced, walked = [], []
         real_slice, real_walk = experiments.slice_monomials, experiments.weight_zero_exponents
 
-        def enumerate_slice(m, n, j, deadline=None, x0_free=False):
-            sliced.append((j, x0_free))
-            return real_slice(m, n, j, deadline, x0_free)
+        def enumerate_slice(m, n, j, deadline=None):
+            sliced.append(j)
+            return real_slice(m, n, j, deadline)
 
         def walk(m, n, j, x0_free=False):
             walked.append((j, x0_free))
@@ -228,7 +236,25 @@ class TestGradedDims:
         monkeypatch.setattr(experiments, "weight_zero_exponents", walk)
         r = graded_quotient_dims(2, 3)
         assert r.seeds_tried == (0, 1, 2)
-        assert sliced == walked == [(j, True) for j in range(10)]
+        assert sliced == list(range(10))
+        assert walked == [(j, True) for j in range(10)]
+
+    @pytest.mark.parametrize("m, n, j_max", [(2, 3, None), (3, 3, None), (2, 3, 3), (7, 7, 2)])
+    def test_forms_are_drawn_over_the_x0_free_slices(self, m, n, j_max, monkeypatch):
+        # g_i' has one coefficient per x_0-free monomial of slice i; g_1' has
+        # none, since x_0 is the only monomial of slice 1
+        seen = []
+        real = GenericFormSet.generate
+
+        def generate(seed, sizes, deadline=None):
+            seen.append(list(sizes))
+            return real(seed, sizes, deadline)
+
+        monkeypatch.setattr(GenericFormSet, "generate", generate)
+        r = graded_quotient_dims(m, n, j_max=j_max)
+        top = min(m + n, len(r.dims) - 1)
+        assert seen == [[len(slice_monomials(m, n, i)) for i in range(1, top + 1)]]
+        assert seen[0][0] == 0
 
     def test_key_overflow_is_found_before_any_form(self, monkeypatch):
         def no_forms(*args):
@@ -294,18 +320,12 @@ class TestGradedDims:
         assert r.total == 66
 
 
-def _slice_data(m, n, seed=0, x0_free=True):
-    """Forms, slices and slice keys of a window, through its top slice: the
-    x_0-free monomials of each slice and the forms restricted to them, or with
-    x0_free=False the full slices and forms."""
-    full = [slice_monomials(m, n, t) for t in range(default_j_max(m, n) + 1)]
-    drawn = GenericFormSet.generate(seed, [len(sl) for sl in full[1 : m + n + 1]]).forms
-    if x0_free:
-        keep = [[k for k, u in enumerate(sl) if u[m] == 0] for sl in full]
-        slices = [tuple(sl[k] for k in ks) for sl, ks in zip(full, keep)]
-        forms = [g[ks] for g, ks in zip(drawn, keep[1:])]
-    else:
-        slices, forms = full, drawn
+def _slice_data(m, n, seed=0):
+    """Forms, slices and slice keys of a window, through its top slice, as
+    graded_quotient_dims draws them: the x_0-free monomials of each slice, and
+    g_1', ..., g_{m+n}' drawn over them."""
+    slices = [slice_monomials(m, n, t) for t in range(default_j_max(m, n) + 1)]
+    forms = GenericFormSet.generate(seed, [len(sl) for sl in slices[1 : m + n + 1]]).forms
     index = [_slice_keys(sl, len(slices)) for sl in slices]
     return forms, slices, index
 
@@ -404,7 +424,7 @@ class TestSliceRankCertificate:
 
     @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
     def test_builds_match_the_term_by_term_oracle(self, m, n):
-        # on the x_0-free monomials, with the forms restricted to them and
+        # on the x_0-free monomials, with the forms drawn over them and
         # g_1 left out, the matrices take the forms' dtype: the raw int32 forms
         # give the oracles exactly, their int16 residues give the oracles mod
         # p; with no forms, as in (1, 1), every matrix is int16 and has no rows
@@ -441,21 +461,6 @@ class TestSliceRankCertificate:
         assert _slice_keys([(1,) * 63], 2).tolist() == [-(2**63 - 1)]
         with pytest.raises(ValueError, match="overflow int64"):
             _slice_keys([(0,) * 13], 66)
-
-    @pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
-    def test_full_slices_from_the_x0_free_keys(self, m, n):
-        # slice t holds the x_0**a multiples of the x_0-free slices t-a: their
-        # keys rebuild the full slice's keys, in order, and place each x_0-free
-        # monomial at its position among them; slice 1 has no x_0-free monomial
-        _, slices, index = _slice_data(m, n)
-        base = len(slices)
-        x0 = _slice_keys([(0,) * m + (1,) + (0,) * n], base)[0]
-        assert x0 == -base**n and len(index[1]) == 0
-        for t in range(base):
-            full = slice_monomials(m, n, t)
-            assert np.array_equal(_full_keys(index, x0, t), _slice_keys(full, base)), t
-            want = [k for k, u in enumerate(full) if not u[m]]
-            assert _full_positions(index, x0, t).tolist() == want, t
 
     def test_top_slice_memory_per_span_entry(self):
         # the x_0-free top slice of (2, 4) spans a 321 x 165 matrix (1604 x 677
@@ -507,30 +512,26 @@ class TestSliceRankCertificate:
 
     @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
     def test_x0_quotient_keeps_the_full_rank(self, m, n):
-        # g_1 = c*x_0 with c != 0 adds the x_0 multiples of slice j-1 to the
-        # span, so the exact rank of the full span of g_1..g_N is s_{j-1} plus
-        # the certified rank of the x_0-free span of g_2'..g_N'
+        # lift each g_i' to a full form by random x_0-divisible terms, so that
+        # g_1 = c*x_0 with a random c != 0: the x_0 multiples of slice j-1 then
+        # join the span, and the exact rank of the full span of g_1..g_N is
+        # s_{j-1} plus the certified rank of the x_0-free span of g_2'..g_N',
+        # whatever the added terms and c
+        rng = random.Random(f"lift {m} {n}")
         for seed in range(3):
-            full_forms, full, _ = _slice_data(m, n, seed, x0_free=False)
-            forms, _, index = _slice_data(m, n, seed)
-            assert not full_forms or full_forms[0][0] != 0
+            forms, slices, index = _slice_data(m, n, seed)
+            full = [_full_slice(m, n, t) for t in range(len(slices))]
+            lifted = []
+            for i, g in enumerate(forms, start=1):
+                residue = dict(zip(slices[i], g.tolist()))
+                lifted.append(np.array(
+                    [residue[u] if not u[m] else rng.choice((-1, 1)) * rng.randint(1, 10**6)
+                     for u in full[i]], dtype=np.int64))
+            assert not lifted or lifted[0][0] != 0
             for j in range(len(full)):
-                want = _rank_over_qq(_span_by_terms(full_forms, full, j, first=1))
+                want = _rank_over_qq(_span_by_terms(lifted, full, j, first=1))
                 below = len(full[j - 1]) if j else 0
                 assert below + _exact_slice_rank(forms, index, j) == want, (m, n, seed, j)
-
-    @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
-    def test_zero_g1_ranks_the_full_slices(self, m, n, monkeypatch):
-        # with c = 0 the quotient is by g_2..g_N on the full slices, ranked by
-        # the same kernel; x_0 then survives in slice 1.  The profile checked
-        # is that of the last seed tried
-        zero_first_form(monkeypatch)
-        r = graded_quotient_dims(m, n)
-        forms, full, _ = _slice_data(m, n, r.seed, x0_free=False)
-        for j, dim in enumerate(r.dims):
-            want = _rank_over_qq(_span_by_terms(forms, full, j, first=2))
-            assert dim == len(full[j]) - want, (m, n, r.seed, j)
-        assert r.dims[1:2] == (1,) * (len(r.dims) > 1)
 
     def test_koszul_matrix_only_on_the_free_rows(self, monkeypatch):
         events = []

@@ -158,6 +158,80 @@ def test_no_dead_definitions():
     assert dead_definitions(sources, outside, TEST_ORACLES) == []
 
 
+def unpassed_defaults(sources, exempt) -> list:
+    """'qualname: parameter' for each defaulted parameter of a function in
+    sources that no call in sources passes, by keyword or by position.  Calls
+    are matched by the callee's name; a call with *args or **kwargs passes
+    every parameter, a method's positions skip self or cls, and a call of a
+    class reaches its __init__."""
+    trees = [ast.parse(source) for source in sources]
+    calls = {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(name, []).append(node)
+
+    def passes(call, param, position) -> bool:
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        return position is not None and (
+            len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+    found = []
+    for tree in trees:
+        defs = definitions(tree)
+        owner = {id(f): c.name for _, c in defs if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef)}
+        for qualname, node in defs:
+            if isinstance(node, ast.ClassDef) or qualname in exempt:
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            if id(node) in owner and not static:
+                positional = positional[1:]
+            name = owner[id(node)] if node.name == "__init__" else node.name
+            params = [(p.arg, k) for k, p in enumerate(positional)]
+            params = params[len(params) - len(args.defaults):]
+            params += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            for param, position in params:
+                if not any(passes(call, param, position) for call in calls.get(name, [])):
+                    found.append(f"{qualname}: {param}")
+    return found
+
+
+def test_unpassed_default_detector():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(x=0): pass\n"
+        "def h(y=0): pass\n"
+        "def oracle(z=0): pass\n"
+        "class Box:\n"
+        "    def __init__(self, w=0): pass\n"
+        "    def method(self, v=0): pass\n"
+        "    @staticmethod\n"
+        "    def static(u=0): pass\n"
+        "f(0, 1, e=5)\n"
+        "g(*[1])\n"
+        "Box(1).method()\n"
+        "Box.static(1)\n"
+    )
+    assert unpassed_defaults([source], {"oracle"}) == [
+        "f: c", "f: d", "h: y", "Box.method: v"]
+    # a call in another source counts, and **kwargs passes every parameter
+    assert unpassed_defaults([source, "f(**{}); h(2)"], {"oracle"}) == ["Box.method: v"]
+
+
+def test_every_default_is_passed():
+    # a default that no program path overrides is a constant behind an
+    # option; only the benchmark and the tests pass main's argv
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unpassed_defaults(sources, TEST_ORACLES | {"main"}) == []
+
+
 def tracer_table(name: str) -> tuple:
     """A literal table of the benchmark's tracer, read without importing it."""
     tree = ast.parse((PERFBENCH / "tracing.py").read_text())
