@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from . import chow, experiments, groebner as gb, laurent
 from .eulerian import (
+    ORBIT_CAP,
     eulerian,
     gen_eulerian,
     mobius,
@@ -147,7 +148,8 @@ def _mobius(args, report):
 
 
 @_command("orbits", "add-1 orbits of circular permutations",
-          ("--size", _INT), ("--ascents", _INT), ("--cap", {"type": int, "default": 11}))
+          ("--size", _INT), ("--ascents", _INT),
+          ("--cap", {"type": int, "default": ORBIT_CAP}))
 def _orbits(args, report):
     dec = orbit_decomposition(args.size, args.ascents, cap=args.cap)
     expected = eulerian(args.size - 1, args.ascents - 1)
@@ -244,7 +246,7 @@ def _sparse_degree(args, report):
 
 
 @_command("decomposition", "divisor decomposition of the Eulerian number",
-          *WINDOW, ("--orbit-cap", {"type": int, "default": 11}))
+          *WINDOW, ("--orbit-cap", {"type": int, "default": ORBIT_CAP}))
 def _decomposition(args, report):
     rep = experiments.decomposition_report(args.m, args.n, orbit_cap=args.orbit_cap)
     report["inputs"] = {"m": args.m, "n": args.n}

@@ -9,6 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+ORBIT_CAP = 11  # largest N whose circular permutations are enumerated
+
+
 class EnumerationCapError(ValueError):
     """Requested exhaustive enumeration above the configured cap."""
 
@@ -180,11 +183,28 @@ class CircularPermutation:
 class OrbitDecomposition:
     N: int
     ascents: int
-    orbits: tuple  # (minimum member as a tuple, orbit size), by (size, member)
+    # (orbit size, the orbits' minimum members packed N bytes each in
+    # increasing order), by increasing size
+    buckets: tuple
+
+    @property
+    def orbits(self) -> tuple:
+        """(minimum member as a tuple, orbit size), by (size, member)."""
+        N = self.N
+        return tuple(
+            (tuple(packed[i:i + N]), size)
+            for size, packed in self.buckets
+            for i in range(0, len(packed), N)
+        )
+
+    @property
+    def counts(self) -> dict:
+        """Number of orbits of each size that occurs."""
+        return {size: len(packed) // self.N for size, packed in self.buckets}
 
     @property
     def sizes(self) -> list:
-        return [size for _, size in self.orbits]
+        return [size for size, count in self.counts.items() for _ in range(count)]
 
     @property
     def representatives(self) -> list:
@@ -192,15 +212,17 @@ class OrbitDecomposition:
 
     @property
     def total(self) -> int:
-        return sum(self.sizes)
+        return sum(size * count for size, count in self.counts.items())
 
 
-def orbit_decomposition(N: int, a: int, cap: int = 11) -> OrbitDecomposition:
+def orbit_decomposition(N: int, a: int, cap: int = ORBIT_CAP) -> OrbitDecomposition:
     """Orbits of the add-1 action on circular permutations with a circular ascents.
 
-    One pass over the canonical permutations (0,)+rest: each member e follows
-    its orbit until it meets a smaller member (then e is not the orbit's
-    minimum) or returns to e, so every orbit is recorded once, at its minimum.
+    One pass over the canonical permutations (0,)+rest, each held as N bytes:
+    each member e follows its orbit until it meets a smaller member (then e is
+    not the orbit's minimum) or returns to e, so every orbit is recorded once,
+    at its minimum.  Bytes compare like the tuples of their values, and the
+    members come in increasing order, so each size's bucket is sorted.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -209,21 +231,22 @@ def orbit_decomposition(N: int, a: int, cap: int = 11) -> OrbitDecomposition:
     if not 1 <= a < N:
         # every circular permutation of N >= 2 elements has 1..N-1 ascents
         return OrbitDecomposition(N, a, ())
-    orbits = []
+    add_one = bytes((v + 1) % N for v in range(256))  # a bytes.translate table
+    minima = [bytearray() for _ in range(N + 1)]  # indexed by orbit size
     for rest in itertools.permutations(range(1, N)):
         # 0 -> rest[0] is always a circular ascent, rest[-1] -> 0 never is
         if 1 + sum(map(operator.lt, rest, rest[1:])) != a:
             continue
-        e = cur = (0,) + rest
+        e = cur = bytes((0,) + rest)
         for size in range(1, N + 1):
             z = cur.index(N - 1)  # N-1 becomes 0: rotate it to the front
-            cur = tuple((v + 1) % N for v in cur[z:] + cur[:z])
+            cur = (cur[z:] + cur[:z]).translate(add_one)
             if cur <= e:
                 break
         if cur == e:
-            orbits.append((e, size))
-    orbits.sort(key=lambda o: o[1])  # stable: members come in increasing order
-    return OrbitDecomposition(N, a, tuple(orbits))
+            minima[size] += e
+    buckets = tuple((size, bytes(packed)) for size, packed in enumerate(minima) if packed)
+    return OrbitDecomposition(N, a, buckets)
 
 
 def check_window_divisor(m: int, n: int, d: int):

@@ -13,7 +13,7 @@ import numpy as np
 from .algebra import QQ, ExactMatrix
 from .chow import generic_ci_degree, sparse_ci_degree
 from .deadline import Deadline, DeadlineExceeded
-from .eulerian import divisors, eulerian, deg_Z_circle, orbit_decomposition
+from .eulerian import ORBIT_CAP, divisors, eulerian, deg_Z_circle, orbit_decomposition
 from .groebner import conjecture_unit_check, ideal_quotient_dimension
 from .laurent import weight_zero_exponents
 
@@ -332,16 +332,16 @@ class DecompositionReport:
         return ok and all(r.orbit_agrees is not False for r in self.rows)
 
 
-def decomposition_report(m: int, n: int, orbit_cap: int = 11) -> DecompositionReport:
+def decomposition_report(m: int, n: int, orbit_cap: int = ORBIT_CAP) -> DecompositionReport:
     N = m + n
-    sizes = orbit_decomposition(N, m, cap=orbit_cap).sizes if N <= orbit_cap else None
+    counts = orbit_decomposition(N, m, cap=orbit_cap).counts if N <= orbit_cap else None
     rows = []
     for d in divisors(N):
         sd = sparse_ci_degree(m, n, d)
         deg = deg_Z_circle(m, n, d)
         orbit_count = orbit_agrees = None
-        if sizes is not None:
-            orbit_count = sizes.count(N // d)
+        if counts is not None:
+            orbit_count = counts.get(N // d, 0)
             orbit_agrees = deg == (N // d) * orbit_count
         rows.append(
             DecompositionRow(d, sd.value, sd.empty, deg, orbit_count, orbit_agrees)

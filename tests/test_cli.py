@@ -48,6 +48,19 @@ class TestCommands:
         assert "0 3 1 4 2" in rep["result"]["representatives"]
         assert rep["agreement"] is True
 
+    def test_orbits_golden(self, capsys):
+        # sorted by orbit size, then by minimum member
+        code, rep = run_json(capsys, ["orbits", "--size", "6", "--ascents", "3"])
+        assert code == 0
+        assert rep["result"]["orbit_sizes"] == [3, 3] + [6] * 10
+        assert rep["result"]["representatives"] == [
+            "0 1 5 3 4 2", "0 2 1 3 5 4",
+            "0 1 2 5 4 3", "0 1 3 2 5 4", "0 1 3 5 4 2", "0 1 4 2 5 3",
+            "0 1 4 3 5 2", "0 1 4 5 3 2", "0 1 5 2 4 3", "0 1 5 3 2 4",
+            "0 2 4 1 5 3", "0 2 5 1 4 3",
+        ]
+        assert rep["result"]["total"] == 66 and rep["agreement"] is True
+
     def test_const_terms_symbolic(self, capsys):
         code, rep = run_json(capsys, ["const-terms", "--m", "1", "--n", "1", "--power", "2"])
         assert code == 0
@@ -104,6 +117,16 @@ class TestCommands:
         code, rep = run_json(capsys, ["decomposition", "--m", "2", "--n", "3"])
         assert code == 0
         assert rep["result"]["total"] == rep["result"]["expected"] == 11
+        assert rep["agreement"] is True
+
+    def test_decomposition_golden(self, capsys):
+        # (5, 5) enumerates the 9! circular permutations of 10 elements
+        code, rep = run_json(capsys, ["decomposition", "--m", "5", "--n", "5"])
+        assert code == 0
+        rows = rep["result"]["rows"]
+        assert {r["d"]: r["orbit_count"] for r in rows} == {1: 15596, 2: 46, 5: 0, 10: 0}
+        assert {r["d"]: r["deg_circle"] for r in rows} == {1: 155960, 2: 230, 5: 0, 10: 0}
+        assert rep["result"]["total"] == rep["result"]["expected"] == 156190
         assert rep["agreement"] is True
 
     def test_hilbert_slices(self, capsys):

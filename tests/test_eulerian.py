@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -189,6 +190,26 @@ class TestOrbits:
                 assert dec.sizes == [size for size, _ in orbits], (N, a)
                 assert dec.representatives == [rep for _, rep in orbits], (N, a)
                 assert dec.total == eulerian(N - 1, a - 1)
+
+    def test_orbits_come_by_size_then_member(self):
+        for N in range(2, 9):
+            for a in range(N + 1):
+                dec = orbit_decomposition(N, a)
+                assert dec.orbits == tuple(sorted(dec.orbits, key=lambda o: (o[1], o[0])))
+                hash(dec)
+
+    def test_memory_per_orbit(self):
+        # (10, 5) has 15642 orbits, each stored as its minimum's 10 bytes;
+        # holding a (tuple, size) pair per orbit instead traces about 2.9 MB
+        tracemalloc.start()
+        try:
+            dec = orbit_decomposition(10, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        orbits = len(dec.orbits)
+        assert orbits == 15642
+        assert peak <= 32 * orbits + 64 * 1024
 
     def test_orbit_sizes_divide_N(self):
         # circular perms of {0..N-1} with a circular ascents number <N-1, a-1>
