@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import operator
@@ -232,7 +233,8 @@ def orbit_decomposition(N: int, a: int, cap: int = ORBIT_CAP) -> OrbitDecomposit
         # every circular permutation of N >= 2 elements has 1..N-1 ascents
         return OrbitDecomposition(N, a, ())
     add_one = bytes((v + 1) % N for v in range(256))  # a bytes.translate table
-    minima = [bytearray() for _ in range(N + 1)]  # indexed by orbit size
+    # indexed by orbit size; getvalue() hands over each buffer without a copy
+    minima = [io.BytesIO() for _ in range(N + 1)]
     for rest in itertools.permutations(range(1, N)):
         # 0 -> rest[0] is always a circular ascent, rest[-1] -> 0 never is
         if 1 + sum(map(operator.lt, rest, rest[1:])) != a:
@@ -244,8 +246,9 @@ def orbit_decomposition(N: int, a: int, cap: int = ORBIT_CAP) -> OrbitDecomposit
             if cur <= e:
                 break
         if cur == e:
-            minima[size] += e
-    buckets = tuple((size, bytes(packed)) for size, packed in enumerate(minima) if packed)
+            minima[size].write(e)
+    buckets = tuple((size, packed.getvalue()) for size, packed in enumerate(minima)
+                    if packed.tell())
     return OrbitDecomposition(N, a, buckets)
 
 

@@ -211,6 +211,19 @@ class TestOrbits:
         assert orbits == 15642
         assert peak <= 32 * orbits + 64 * 1024
 
+    def test_minima_are_held_once(self):
+        # the packed minima are the only large allocation, and the returned
+        # buckets take them over without a copy, which would double the peak
+        tracemalloc.start()
+        try:
+            dec = orbit_decomposition(10, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        packed = sum(len(minima) for _, minima in dec.buckets)
+        assert packed == 10 * 15642
+        assert peak <= packed + 16 * 1024
+
     def test_orbit_sizes_divide_N(self):
         # circular perms of {0..N-1} with a circular ascents number <N-1, a-1>
         for N in range(2, 9):

@@ -319,6 +319,15 @@ class TestGradedDims:
         assert r.dims == (1, 0, 2, 3, 6, 7, 9, 10, 9, 7, 6, 3, 2, 0, 1)
         assert r.total == 66
 
+    def test_3_4_profile(self):
+        # the Hilbert-slice frontier; unlike (3, 3), this profile is not
+        # palindromic
+        r = graded_quotient_dims(3, 4, seed=0)
+        assert r.seeds_tried == (0,)
+        assert r.dims == (1, 0, 2, 5, 9, 14, 20, 26, 32, 34, 35, 32, 29, 23, 17, 11, 7,
+                          3, 2, 0, 0)
+        assert r.total == 302 == eulerian(6, 2)
+
 
 def _slice_data(m, n, seed=0):
     """Forms, slices and slice keys of a window, through its top slice, as
@@ -337,8 +346,8 @@ def _terms(forms, slices, i):
 
 def _span_by_terms(forms, slices, j, first=2):
     """Reference span matrix of g_first, g_first+1, ..., built term by term
-    from exponent tuples."""
-    target = {u: t for t, u in enumerate(slices[j])}
+    from exponent tuples, with columns in ascending lex order of the tuples."""
+    target = {u: t for t, u in enumerate(sorted(slices[j]))}
     degrees = range(first, min(len(forms), j) + 1)
     A = np.zeros((sum(len(slices[j - i]) for i in degrees), len(target)), dtype=np.int64)
     r = 0
@@ -479,6 +488,30 @@ class TestSliceRankCertificate:
         finally:
             tracemalloc.stop()
         assert peak < 3.0 * entries
+
+    @pytest.mark.parametrize("m, n, shape, rank, most", [
+        (3, 3, (582, 322), 321, 130_000),
+        (2, 5, (2650, 1093), 1093, 900_000),
+    ])
+    def test_top_slice_fill(self, m, n, shape, rank, most, monkeypatch):
+        # entry updates of the elimination: rows x columns of every update
+        # block, summed over the pivot steps.  With the span columns in
+        # descending lex order the fill-in makes 225 666 at (3, 3) and
+        # 1 578 982 at (2, 5); ascending lex order makes 116 886 and 803 683
+        forms, slices, index = _slice_data(m, n)
+        residues = [(f % _P).astype(np.int16) for f in forms]
+        A = _span_matrix(residues, index, len(slices) - 1)
+        assert A.shape == shape
+        updates = []
+        real_ix = np.ix_
+
+        def ix_spy(rows, cols):
+            updates.append(len(rows) * len(cols))
+            return real_ix(rows, cols)
+
+        monkeypatch.setattr(np, "ix_", ix_spy)
+        assert len(_rank_mod_p(A, _P)) == rank
+        assert sum(updates) <= most
 
     def test_first_prime_closes_every_small_window(self, monkeypatch):
         # every certificate for m+n <= 6 closes on the first 15-bit prime:
