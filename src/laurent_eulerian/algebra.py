@@ -7,9 +7,7 @@ rationals are arbitrary-precision, prime-field residues are reduced ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
-
-from .deadline import Deadline
+from typing import Mapping, Sequence
 
 
 class FieldMismatchError(TypeError):
@@ -324,9 +322,9 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         self.field = field
 
-    def rank(self, deadline: Optional[Deadline] = None) -> int:
-        """Rank by elimination; a Deadline, if given, is checked per pivot column."""
-        _, pivots = self._echelon([list(row) for row in self.rows], deadline)
+    def rank(self) -> int:
+        """Rank by elimination."""
+        _, pivots = self._echelon([list(row) for row in self.rows])
         return len(pivots)
 
     def solve(self, rhs: Sequence[object]):
@@ -347,15 +345,13 @@ class ExactMatrix:
             x[col] = rows[row][n]
         return x
 
-    def _echelon(self, rows, deadline: Optional[Deadline] = None):
+    def _echelon(self, rows):
         """Reduced row echelon form in place; returns (rows, [(row, pivot_col)])."""
         fld = self.field
         ncols = len(rows[0]) if rows else 0
         pivots = []
         r = 0
         for c in range(ncols):
-            if deadline is not None:
-                deadline.check()
             pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
             if pr is None:
                 continue

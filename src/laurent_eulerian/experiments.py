@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import QQ, ExactMatrix
+from .algebra import QQ
 from .chow import generic_ci_degree, sparse_ci_degree
 from .deadline import Deadline, DeadlineExceeded
 from .eulerian import ORBIT_CAP, divisors, eulerian, deg_Z_circle, orbit_decomposition
@@ -73,15 +73,17 @@ class GradedDims:
     dims: tuple
 
     @property
-    def total(self) -> int:
-        return sum(self.dims)
+    def total(self) -> Optional[int]:
+        """Sum of the slice dimensions; None when any slice is open (None)."""
+        return None if None in self.dims else sum(self.dims)
 
 
 def default_j_max(m: int, n: int) -> int:
     return (m + n + 1) * (m + n - 2) // 2
 
 
-_RANK_PRIMES = (32749, 32719, 32717)
+# the largest prime below 2**15, the bound _rank_mod_p requires
+_RANK_PRIME = 32749
 
 
 def _slice_keys(monomials, base: int) -> np.ndarray:
@@ -175,14 +177,12 @@ def _span_matrix(forms, index, j: int, deadline: Optional[Deadline] = None) -> n
     _rank_mod_p low: about half the entry updates of descending order at (3,3),
     a quarter at (3,4).
 
-    The matrix takes the forms' dtype (int32 coefficients, or int16 residues
-    mod p; int16 with no forms): q*u is injective in u, so every entry is one
-    coefficient.
+    The forms and the matrix hold int16 residues mod p: q*u is injective in
+    u, so every entry is one coefficient.
     """
     degrees = _form_degrees(forms, j)
     ncols = len(index[j])
-    A = np.zeros((sum(len(index[j - i]) for i in degrees), ncols),
-                 dtype=np.result_type(np.int16, *forms))
+    A = np.zeros((sum(len(index[j - i]) for i in degrees), ncols), dtype=np.int16)
     r = 0
     for i in degrees:
         if deadline is not None:
@@ -193,46 +193,41 @@ def _span_matrix(forms, index, j: int, deadline: Optional[Deadline] = None) -> n
     return A
 
 
-def _exact_slice_rank(forms, index, j: int, deadline: Optional[Deadline] = None):
-    """Certified exact QQ-rank of the degree-j ideal-slice span A.
+def _exact_slice_rank(residues, index, j: int,
+                      deadline: Optional[Deadline] = None) -> Optional[int]:
+    """Certified exact QQ-rank of the degree-j ideal-slice span A, or None
+    when the certificate stays open; residues are the forms mod p =
+    _RANK_PRIME, as int16.
 
-    Per prime p, let P be the pivot rows of A mod p, r_low = |P|, and N the
-    other rows.  Lower bound: the pivot rows hold a minor that is nonzero mod
-    p, hence nonzero over QQ, so rank_QQ(A) >= r_low.  When r_low equals
+    Let P be the pivot rows of A mod p, r_low = |P|, and N the other rows.
+    Lower bound: the pivot rows hold a minor that is nonzero mod p, hence
+    nonzero over QQ, so rank_QQ(A) >= r_low.  When r_low equals
     min(nrows, ncols) the rank is pinned by size.  Upper bound: the Koszul
     relations g_k*(q*g_i) - g_i*(q*g_k) = 0 give a matrix S of exact left-null
     vectors of A, so rank_QQ(A) <= nrows - rank_QQ(S).  Only the columns of S
     in N are built, as S_N; a column submatrix has no larger rank, and a mod-p
     rank no larger than the QQ rank, so rank_QQ(S) >= rank_QQ(S_N) >=
     rank_p(S_N).  If rank_p(S_N) = |N| = nrows - r_low, then rank_QQ(A) <= r_low
-    and the rank is pinned.  If no prime pins it, fall back to exact
-    elimination of the raw int32 forms' span matrix.  The primes lie below
-    2**15, so each prime's matrices hold the forms reduced mod p as int16.
-    Both bounds use only rank_p <= rank_QQ, true for every prime, so a small
-    prime cannot make a certified rank wrong; an unlucky one only leaves the
-    sandwich open for the next prime.  Each matrix is built afresh for the
-    elimination that overwrites it.
+    and the rank is pinned.  Both bounds read only A mod p and S mod p, which
+    the residues give exactly, so the pinned number is the QQ rank of the raw
+    int32 forms' span; they use only rank_p <= rank_QQ, true for every prime,
+    so an unlucky prime can only leave the slice open.  Each matrix is
+    overwritten by its elimination.
     """
-    nrows = sum(len(index[j - i]) for i in _form_degrees(forms, j))
+    nrows = sum(len(index[j - i]) for i in _form_degrees(residues, j))
     if not nrows:
         return 0
-    for p in _RANK_PRIMES:
-        if deadline is not None:
-            deadline.check()
-        residues = [(f % p).astype(np.int16) for f in forms]
-        pivots = _rank_mod_p(_span_matrix(residues, index, j, deadline), p, deadline)
-        r_low = len(pivots)
-        if r_low == min(nrows, len(index[j])):
-            return r_low
-        free = np.ones(nrows, dtype=bool)
-        free[pivots] = False
-        cols = np.where(free, np.cumsum(free) - 1, -1)
-        S = _koszul_syzygies(residues, index, j, cols, deadline)
-        if len(_rank_mod_p(S, p, deadline)) == nrows - r_low:
-            return r_low
-    # sandwich did not close (degenerate forms or unlucky primes)
-    A = _span_matrix(forms, index, j, deadline)
-    return ExactMatrix(A.tolist(), QQ).rank(deadline)
+    pivots = _rank_mod_p(_span_matrix(residues, index, j, deadline), _RANK_PRIME, deadline)
+    r_low = len(pivots)
+    if r_low == min(nrows, len(index[j])):
+        return r_low
+    free = np.ones(nrows, dtype=bool)
+    free[pivots] = False
+    cols = np.where(free, np.cumsum(free) - 1, -1)
+    S = _koszul_syzygies(residues, index, j, cols, deadline)
+    if len(_rank_mod_p(S, _RANK_PRIME, deadline)) == nrows - r_low:
+        return r_low
+    return None
 
 
 def _koszul_syzygies(forms, index, j: int, cols: np.ndarray,
@@ -242,14 +237,14 @@ def _koszul_syzygies(forms, index, j: int, cols: np.ndarray,
     (-1: left out).
 
     The g_k block lands in span rows (i, .) and the g_i block in rows (k, .),
-    so, as in the span matrix, every entry is one coefficient, in the forms'
-    dtype; for int16 residues x < p < 2**15 the sign -x fits too.
+    so, as in the span matrix, every entry is one int16 residue; for
+    x < p < 2**15 the sign -x fits too.
     """
     degrees = _form_degrees(forms, j)
     start = dict(zip(degrees, np.cumsum([0] + [len(index[j - i]) for i in degrees])))
     pairs = [(i, k) for i, k in itertools.combinations(degrees, 2) if i + k <= j]
     S = np.zeros((sum(len(index[j - i - k]) for i, k in pairs), np.count_nonzero(cols >= 0)),
-                 dtype=np.result_type(np.int16, *forms))
+                 dtype=np.int16)
     r = 0
     for i, k in pairs:
         if deadline is not None:
@@ -276,11 +271,13 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     x_0-free monomials.
 
     Each x_0-free slice is enumerated once, before any seed, and kept as its
-    keys.  A degenerate seed (total above the Eulerian bound) is retried with
-    the next seed, up to _MAX_SEEDS seeds, and all tried seeds are reported.
-    A deadline is checked inside each slice enumeration, once per drawn form,
-    once per slice, once per prime, and once per pivot column of every
-    elimination.
+    keys; each seed's forms are reduced mod _RANK_PRIME once.  A slice whose
+    rank certificate stays open has dimension None.  A degenerate seed (a
+    slice open, or the total above the Eulerian bound) is retried with the
+    next seed, up to _MAX_SEEDS seeds, and all tried seeds are reported; when
+    every seed is degenerate, the last one's profile is returned.  A deadline
+    is checked inside each slice enumeration, once per drawn form, once per
+    slice, and once per pivot column of every elimination.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -300,14 +297,16 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     for attempt in range(_MAX_SEEDS):
         s = seed + attempt
         tried.append(s)
-        forms = GenericFormSet.generate(s, sizes, deadline).forms
+        residues = [(f % _RANK_PRIME).astype(np.int16)
+                    for f in GenericFormSet.generate(s, sizes, deadline).forms]
         dims = []
         for j in range(j_max + 1):
             if deadline is not None:
                 deadline.check()
-            dims.append(len(index[j]) - _exact_slice_rank(forms, index, j, deadline))
+            rank = _exact_slice_rank(residues, index, j, deadline)
+            dims.append(None if rank is None else len(index[j]) - rank)
         result = GradedDims(m, n, s, tuple(tried), tuple(dims))
-        if result.total <= bound:
+        if result.total is not None and result.total <= bound:
             return result
     return result
 

@@ -13,7 +13,6 @@ from laurent_eulerian.algebra import (
     PrimeField,
     ZeroPolynomialError,
 )
-from laurent_eulerian.deadline import Deadline, DeadlineExceeded
 from conftest import random_poly
 
 
@@ -176,12 +175,6 @@ class TestExactRank:
         # rank can drop mod p: [[1,1],[1,3]] singular mod 2 only
         assert ExactMatrix([[1, 1], [1, 3]], PrimeField(2)).rank() == 1
         assert ExactMatrix([[1, 1], [1, 3]], QQ).rank() == 2
-
-    def test_rank_checks_deadline(self):
-        A = ExactMatrix([[1, 2], [3, 4]], QQ)
-        assert A.rank(Deadline(3600)) == 2
-        with pytest.raises(DeadlineExceeded):
-            A.rank(Deadline(0))
 
     def test_solve(self):
         A = ExactMatrix([[2, 0], [0, 4]], QQ)

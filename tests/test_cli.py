@@ -152,11 +152,24 @@ class TestCommands:
             assert "agreement: None" in out
 
     def test_every_seed_degenerate_is_a_disagreement(self, capsys, monkeypatch):
+        # zero forms leave open (null) every slice whose span has rows and
+        # columns, so the profile has no total
         degenerate_seeds(monkeypatch, range(10))
-        code, rep = run_json(capsys, ["hilbert-slices", "--m", "2", "--n", "3"])
+        argv = ["hilbert-slices", "--m", "2", "--n", "3"]
+        code, rep = run_json(capsys, argv)
         assert code == 1
         assert rep["result"]["seeds_tried"] == [0, 1, 2, 3, 4]
+        slices = [experiments.slice_monomials(2, 3, j) for j in range(10)]
+        open_ = [bool(sl) and any(slices[j - i] for i in range(2, min(5, j) + 1))
+                 for j, sl in enumerate(slices)]
+        assert any(open_)
+        assert rep["result"]["dims"] == [None if o else len(sl)
+                                         for o, sl in zip(open_, slices)]
+        assert rep["result"]["total"] is None
         assert rep["agreement"] is False
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "dims=[1, 0, None" in out and "total=None" in out
 
     def test_full_hilbert_profile_keeps_its_agreement(self, capsys):
         code, rep = run_json(

@@ -198,28 +198,30 @@ class TestOrbits:
                 assert dec.orbits == tuple(sorted(dec.orbits, key=lambda o: (o[1], o[0])))
                 hash(dec)
 
-    def test_memory_per_orbit(self):
-        # (10, 5) has 15642 orbits, each stored as its minimum's 10 bytes;
-        # holding a (tuple, size) pair per orbit instead traces about 2.9 MB
+    @pytest.fixture(scope="class")
+    def traced_10_5(self):
+        """orbit_decomposition(10, 5) and the peak tracemalloc traces while it
+        runs, computed once for the memory tests below."""
         tracemalloc.start()
         try:
             dec = orbit_decomposition(10, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return dec, peak
+
+    def test_memory_per_orbit(self, traced_10_5):
+        # (10, 5) has 15642 orbits, each stored as its minimum's 10 bytes;
+        # holding a (tuple, size) pair per orbit instead traces about 2.9 MB
+        dec, peak = traced_10_5
         orbits = len(dec.orbits)
         assert orbits == 15642
         assert peak <= 32 * orbits + 64 * 1024
 
-    def test_minima_are_held_once(self):
+    def test_minima_are_held_once(self, traced_10_5):
         # the packed minima are the only large allocation, and the returned
         # buckets take them over without a copy, which would double the peak
-        tracemalloc.start()
-        try:
-            dec = orbit_decomposition(10, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        dec, peak = traced_10_5
         packed = sum(len(minima) for _, minima in dec.buckets)
         assert packed == 10 * 15642
         assert peak <= packed + 16 * 1024

@@ -16,7 +16,7 @@ from laurent_eulerian.algebra import QQ, ExactMatrix, MultiPoly, PrimeField
 from laurent_eulerian.deadline import Deadline, DeadlineExceeded
 from laurent_eulerian.eulerian import eulerian, orbit_decomposition
 from laurent_eulerian.experiments import (
-    _RANK_PRIMES,
+    _RANK_PRIME,
     _SLICE_CHECK_EVERY,
     GenericFormSet,
     _exact_slice_rank,
@@ -154,9 +154,30 @@ class TestGradedDims:
         degenerate_seeds(monkeypatch, range(10))
         r = graded_quotient_dims(2, 3)
         assert r.seeds_tried == (0, 1, 2, 3, 4) and r.seed == 4
-        # zero forms span nothing: g_1 = x_0 is taken as given, so the
-        # profile is that of R_0/(x_0), the x_0-free slice sizes
-        assert r.dims == tuple(len(slice_monomials(2, 3, j)) for j in range(10))
+        # zero forms span nothing, and their Koszul rows are zero: a slice
+        # whose span has rows and columns stays open (None); g_1 = x_0 is
+        # taken as given, so every other slice keeps its x_0-free size
+        slices = [slice_monomials(2, 3, j) for j in range(10)]
+        has_rows = [any(slices[j - i] for i in range(2, min(5, j) + 1)) for j in range(10)]
+        assert r.dims == tuple(None if rows and sl else len(sl)
+                               for rows, sl in zip(has_rows, slices))
+        assert None in r.dims and r.total is None
+
+    def test_open_slice_moves_to_the_next_seed(self, monkeypatch):
+        # the first Koszul matrix is zero, so seed 0's slice 5 stays open and
+        # seed 0 is degenerate; seed 1 closes every slice
+        real_koszul = experiments._koszul_syzygies
+        calls = []
+
+        def koszul(*args, **kwargs):
+            S = real_koszul(*args, **kwargs)
+            calls.append(S)
+            return S if len(calls) > 1 else np.zeros_like(S)
+
+        monkeypatch.setattr(experiments, "_koszul_syzygies", koszul)
+        r = graded_quotient_dims(2, 3)
+        assert r.seeds_tried == (0, 1) and r.seed == 1
+        assert r.dims == (1, 0, 1, 2, 2, 2, 2, 1, 0, 0)
 
     def test_seed_independence(self):
         for m, n in [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)]:
@@ -266,9 +287,9 @@ class TestGradedDims:
 
     def test_rank_mod_p_checks_deadline(self):
         M = np.eye(4, dtype=np.int64)
-        assert len(_rank_mod_p(M, _RANK_PRIMES[0], Deadline(3600))) == 4
+        assert len(_rank_mod_p(M, _RANK_PRIME, Deadline(3600))) == 4
         with pytest.raises(DeadlineExceeded):
-            _rank_mod_p(M, _RANK_PRIMES[0], Deadline(0))
+            _rank_mod_p(M, _RANK_PRIME, Deadline(0))
 
     @pytest.mark.parametrize("p", [32771, 2147483629])  # the first prime past 2**15; a 31-bit one
     def test_rank_mod_p_refuses_primes_whose_products_wrap_int32(self, p):
@@ -298,21 +319,21 @@ class TestGradedDims:
         monkeypatch.setattr(experiments, "_rank_mod_p", fake_rank)
         j = 6
         forms, slices, index = _slice_data(2, 3)
+        residues = _residues(forms)
         deadline = CountingDeadline()
-        assert experiments._exact_slice_rank(forms, index, j, deadline) == 0
+        assert experiments._exact_slice_rank(residues, index, j, deadline) == 0
         A, S = ranked
         pairs = [(i, k) for i in range(2, 6) for k in range(i + 1, 6) if i + k <= j]
         assert pairs == [(2, 3), (2, 4)]
-        # one check for the prime, one per row block of g_2..g_5, one per
-        # (i, k) pair; g_1 has no block
-        assert deadline.calls == 1 + 4 + len(pairs)
+        # one check per row block of g_2..g_5, one per (i, k) pair; g_1 has
+        # no block
+        assert deadline.calls == 4 + len(pairs)
         assert S.shape == (sum(len(index[j - i - k]) for i, k in pairs), A.shape[0])
-        # both matrices hold the forms reduced mod the first prime; Koszul rows
+        # both matrices hold the forms reduced mod the rank prime; Koszul rows
         # are left-null vectors mod p, and in int16 a nonzero entry of the
         # product could wrap to 0
-        p = _RANK_PRIMES[0]
         assert S.dtype == A.dtype == np.int16
-        assert not (S.astype(np.int64) @ A % p).any()
+        assert not (S.astype(np.int64) @ A % _RANK_PRIME).any()
 
     def test_3_3_profile(self):
         r = graded_quotient_dims(3, 3, seed=0)
@@ -337,6 +358,12 @@ def _slice_data(m, n, seed=0):
     forms = GenericFormSet.generate(seed, [len(sl) for sl in slices[1 : m + n + 1]]).forms
     index = [_slice_keys(sl, len(slices)) for sl in slices]
     return forms, slices, index
+
+
+def _residues(forms):
+    """The forms reduced mod the rank prime, as graded_quotient_dims reduces
+    them."""
+    return [(f % _RANK_PRIME).astype(np.int16) for f in forms]
 
 
 def _terms(forms, slices, i):
@@ -394,7 +421,7 @@ def _koszul_by_terms(forms, slices, j, cols):
 
 
 SMALL_WINDOWS = [(m, t - m) for t in range(2, 6) for m in range(1, t)]
-_P = _RANK_PRIMES[0]
+_P = _RANK_PRIME
 _entries = st.integers(-3, 3) | st.sampled_from([_P, -_P, 2 * _P + 1, 2**40])
 # residues whose int16 products wrap, and the int16 extremes
 _int16_entries = st.integers(-3, 3) | st.sampled_from([_P - 1, -(_P - 1), 2**15 - 1, -2**15])
@@ -426,41 +453,33 @@ class TestSliceRankCertificate:
     def test_int16_pivot_rows_give_the_rank_mod_p(self, rows):
         _check_pivot_rows(rows, np.int16)
 
-    def test_rank_primes_are_distinct_15_bit_primes(self):
-        assert len(set(_RANK_PRIMES)) == len(_RANK_PRIMES) == 3
-        for p in _RANK_PRIMES:
-            assert sympy.isprime(p) and p < 2**15, p
+    def test_rank_prime_is_a_15_bit_prime(self):
+        assert sympy.isprime(_RANK_PRIME) and _RANK_PRIME < 2**15
 
     @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
     def test_builds_match_the_term_by_term_oracle(self, m, n):
-        # on the x_0-free monomials, with the forms drawn over them and
-        # g_1 left out, the matrices take the forms' dtype: the raw int32 forms
-        # give the oracles exactly, their int16 residues give the oracles mod
-        # p; with no forms, as in (1, 1), every matrix is int16 and has no rows
+        # on the x_0-free monomials, with the forms drawn over them and g_1
+        # left out, the int16 residues of the forms give the int64 oracles of
+        # the raw forms mod p; with no forms, as in (1, 1), no matrix has rows
         forms, slices, index = _slice_data(m, n)
-        residues = [(f % _P).astype(np.int16) for f in forms]
+        residues = _residues(forms)
         for j in range(len(slices)):
-            want = _span_by_terms(forms, slices, j)
-            A = _span_matrix(forms, index, j)
-            assert A.dtype == (np.int32 if forms else np.int16)
-            assert np.array_equal(A, want), (m, n, j)
-            A_p = _span_matrix(residues, index, j)
-            assert A_p.dtype == np.int16
-            assert np.array_equal(A_p, want % _P), (m, n, j)
+            span = _span_by_terms(forms, slices, j)
+            A = _span_matrix(residues, index, j)
+            assert A.dtype == np.int16
+            assert np.array_equal(A, span % _P), (m, n, j)
             rows = np.arange(A.shape[0])
             for cols in (rows, np.where(rows % 3, -1, rows // 3)):  # all free, every third
                 want = _koszul_by_terms(forms, slices, j, cols)
-                S = _koszul_syzygies(forms, index, j, cols)
-                assert S.dtype == A.dtype
-                assert np.array_equal(S, want), (m, n, j)
-                S_p = _koszul_syzygies(residues, index, j, cols)
-                assert S_p.dtype == np.int16
-                assert np.array_equal(S_p % _P, want % _P), (m, n, j)
+                S = _koszul_syzygies(residues, index, j, cols)
+                assert S.dtype == np.int16
+                assert np.array_equal(S % _P, want % _P), (m, n, j)
                 if cols is rows:
                     # on every span row, the Koszul rows are left-null
-                    # vectors, exactly and mod p
-                    assert not (S.astype(np.int64) @ A).any(), (m, n, j)
-                    assert not (S_p.astype(np.int64) @ A_p % _P).any(), (m, n, j)
+                    # vectors: exactly for the raw forms, as the certificate's
+                    # upper bound needs, and mod p for the residues
+                    assert not (want @ span).any(), (m, n, j)
+                    assert not (S.astype(np.int64) @ A % _P).any(), (m, n, j)
 
     def test_slice_keys_follow_the_slice_order(self):
         forms, slices, index = _slice_data(2, 3)
@@ -481,9 +500,10 @@ class TestSliceRankCertificate:
         shape = (sum(len(slices[j - i]) for i in range(2, 7)), len(slices[j]))
         assert shape == (321, 165)
         entries = shape[0] * shape[1]
+        residues = _residues(forms)
         tracemalloc.start()
         try:
-            _exact_slice_rank(forms, index, j)
+            _exact_slice_rank(residues, index, j)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -499,8 +519,7 @@ class TestSliceRankCertificate:
         # descending lex order the fill-in makes 225 666 at (3, 3) and
         # 1 578 982 at (2, 5); ascending lex order makes 116 886 and 803 683
         forms, slices, index = _slice_data(m, n)
-        residues = [(f % _P).astype(np.int16) for f in forms]
-        A = _span_matrix(residues, index, len(slices) - 1)
+        A = _span_matrix(_residues(forms), index, len(slices) - 1)
         assert A.shape == shape
         updates = []
         real_ix = np.ix_
@@ -514,34 +533,32 @@ class TestSliceRankCertificate:
         assert sum(updates) <= most
 
     def test_first_prime_closes_every_small_window(self, monkeypatch):
-        # every certificate for m+n <= 6 closes on the first 15-bit prime:
-        # neither a second prime nor exact elimination is ever needed
-        primes = []
-        real_rank = experiments._rank_mod_p
+        # every certificate for m+n <= 6 closes on the rank prime: no slice
+        # stays open, so no seed is retried
+        certified = []
+        real_slice = experiments._exact_slice_rank
 
-        def rank_spy(M, p, deadline=None):
-            primes.append(p)
-            return real_rank(M, p, deadline)
+        def slice_spy(residues, index, j, deadline=None):
+            certified.append(real_slice(residues, index, j, deadline))
+            return certified[-1]
 
-        class NoExactRank(ExactMatrix):
-            def rank(self, deadline=None):
-                raise AssertionError("the exact fallback ran")
-
-        monkeypatch.setattr(experiments, "_rank_mod_p", rank_spy)
-        monkeypatch.setattr(experiments, "ExactMatrix", NoExactRank)
+        monkeypatch.setattr(experiments, "_exact_slice_rank", slice_spy)
         for m, n in SMALL_WINDOWS + [(m, 6 - m) for m in range(1, 6)]:
             for seed in range(3):
                 r = graded_quotient_dims(m, n, seed=seed)
                 assert r.seeds_tried == (seed,) and r.total == eulerian(m + n - 1, m - 1)
-        assert primes and set(primes) == {_RANK_PRIMES[0]}
+        assert certified and None not in certified
 
     @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
     def test_certified_rank_is_the_exact_rank(self, m, n):
+        # the rank certified from the residues is the QQ rank of the raw
+        # int32 forms' span
         forms, slices, index = _slice_data(m, n)
+        residues = _residues(forms)
         for j in range(len(slices)):
-            span = _span_matrix(forms, index, j)
+            span = _span_by_terms(forms, slices, j)
             want = ExactMatrix(span.tolist(), QQ).rank() if span.size else 0
-            assert _exact_slice_rank(forms, index, j) == want, (m, n, j)
+            assert _exact_slice_rank(residues, index, j) == want, (m, n, j)
 
     @pytest.mark.parametrize("m, n", SMALL_WINDOWS)
     def test_x0_quotient_keeps_the_full_rank(self, m, n):
@@ -561,10 +578,11 @@ class TestSliceRankCertificate:
                     [residue[u] if not u[m] else rng.choice((-1, 1)) * rng.randint(1, 10**6)
                      for u in full[i]], dtype=np.int64))
             assert not lifted or lifted[0][0] != 0
+            residues = _residues(forms)
             for j in range(len(full)):
                 want = _rank_over_qq(_span_by_terms(lifted, full, j, first=1))
                 below = len(full[j - 1]) if j else 0
-                assert below + _exact_slice_rank(forms, index, j) == want, (m, n, seed, j)
+                assert below + _exact_slice_rank(residues, index, j) == want, (m, n, seed, j)
 
     def test_koszul_matrix_only_on_the_free_rows(self, monkeypatch):
         events = []
@@ -576,9 +594,9 @@ class TestSliceRankCertificate:
             events.append((shape, len(pivots)))
             return pivots
 
-        def slice_spy(forms, index, j, deadline=None):
+        def slice_spy(residues, index, j, deadline=None):
             events.append(j)
-            return real_slice(forms, index, j, deadline)
+            return real_slice(residues, index, j, deadline)
 
         monkeypatch.setattr(experiments, "_rank_mod_p", rank_spy)
         monkeypatch.setattr(experiments, "_exact_slice_rank", slice_spy)
@@ -607,32 +625,6 @@ class TestSliceRankCertificate:
         for j in (8, 9):
             (nrows, ncols), r_low = calls[j][0]
             assert r_low == ncols < nrows and len(calls[j]) == 1
-
-    def test_exact_fallback_ranks_a_fresh_span_matrix(self, monkeypatch):
-        forms, slices, index = _slice_data(2, 3)
-        real_koszul = experiments._koszul_syzygies
-        monkeypatch.setattr(experiments, "_koszul_syzygies",
-                            lambda *a, **k: np.zeros_like(real_koszul(*a, **k)))
-        ranked = []
-
-        class RecordingMatrix(ExactMatrix):
-            def rank(self, deadline=None):
-                ranked.append(self.rows)
-                return super().rank(deadline)
-
-        monkeypatch.setattr(experiments, "ExactMatrix", RecordingMatrix)
-        needs_koszul = []
-        for j in range(len(slices)):
-            span = _span_matrix(forms, index, j)
-            want = ExactMatrix(span.tolist(), QQ).rank() if span.size else 0
-            before = len(ranked)
-            assert _exact_slice_rank(forms, index, j) == want, j
-            if want < min(span.shape):
-                needs_koszul.append(j)
-                assert ranked[before:] == [ExactMatrix(span.tolist(), QQ).rows], j
-            else:
-                assert len(ranked) == before, j
-        assert needs_koszul == [5, 6, 7]
 
 
 class TestDecomposition:

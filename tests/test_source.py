@@ -25,6 +25,7 @@ README = TESTS.parent / "README.md"
 # kept although no program path calls them: tests check the program against them
 TEST_ORACLES = {
     "normal_form",
+    "ExactMatrix.rank",
     "ray_matrix",
     "eulerian_bruteforce",
     "MultiPoly.graded_degree",
