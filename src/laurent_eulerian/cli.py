@@ -4,12 +4,14 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error or bad input,
 3 an unexpected error (a bug; the traceback goes to stderr).
 
 Every `--budget-seconds` (groebner, degree, conjecture-check, hilbert-slices,
-theorem-matrix) is the same cooperative `Deadline`, checked between Buchberger
-pairs, inside polynomial reductions, before each generic form, between
-Hilbert slices and at pivot columns.  A run that exceeds it reports
-``result: timeout`` and exits 0; theorem-matrix instead marks the cell it cut
-and every later cell ``status: timeout``.  Nothing interrupts the computation
-from outside, so the budget holds on any thread and any OS.
+theorem-matrix) is the same cooperative `Deadline`; without the option the
+run gets one that never expires.  It is checked between Buchberger pairs, at
+every popped term of a polynomial reduction, at every enumerated slice
+monomial, before each generic form, between Hilbert slices and at pivot
+columns.  A run that exceeds it reports ``result: timeout`` and exits 0;
+theorem-matrix instead marks the cell it cut and every later cell
+``status: timeout``.  Nothing interrupts the computation from outside, so the
+budget holds on any thread and any OS.
 """
 
 from __future__ import annotations
@@ -62,13 +64,6 @@ def _int_at_least(low: int):
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
-
-
-def _deadline(args):
-    """The run's Deadline from --budget-seconds, or None without a budget."""
-    if args.budget_seconds is None:
-        return None
-    return Deadline(args.budget_seconds)
 
 
 def _jsonable(v):
@@ -191,7 +186,7 @@ def _groebner(args, report):
         "order": args.order,
         "field": repr(args.field),
     }
-    basis = gb.groebner_of_ideal(spec, order, deadline=_deadline(args))
+    basis = gb.groebner_of_ideal(spec, order, deadline=Deadline(args.budget_seconds))
     report["result"] = [str(g) for g in basis]
 
 
@@ -200,7 +195,7 @@ def _groebner(args, report):
 def _degree(args, report):
     report["inputs"] = {"m": args.m, "n": args.n, "field": repr(args.field)}
     cell = experiments.degree_cell(args.m, args.n, field=args.field,
-                                   deadline=_deadline(args))
+                                   deadline=Deadline(args.budget_seconds))
     report["result"] = {
         "groebner_degree": cell.groebner_degree,
         "intersection_degree": cell.chow_degree,
@@ -213,7 +208,7 @@ def _degree(args, report):
 def _conjecture_check(args, report):
     report["inputs"] = {"m": args.m, "n": args.n}
     report["note"] = "finite evidence only; the conjecture itself is open"
-    value = gb.conjecture_unit_check(args.m, args.n, deadline=_deadline(args))
+    value = gb.conjecture_unit_check(args.m, args.n, deadline=Deadline(args.budget_seconds))
     report["result"] = report["agreement"] = value
 
 
@@ -274,7 +269,8 @@ def _hilbert_slices(args, report):
     report["inputs"] = {"m": args.m, "n": args.n, "j_max": args.j_max}
     report["seed"] = args.seed
     value = experiments.graded_quotient_dims(
-        args.m, args.n, seed=args.seed, j_max=args.j_max, deadline=_deadline(args)
+        args.m, args.n, seed=args.seed, j_max=args.j_max,
+        deadline=Deadline(args.budget_seconds),
     )
     report["result"] = {
         "dims": list(value.dims),
@@ -290,7 +286,7 @@ def _hilbert_slices(args, report):
 @_command("theorem-matrix", "degree-agreement grid over all m+n <= bound",
           ("--max-total", {"type": _int_at_least(2), "required": True}), BUDGET)
 def _theorem_matrix(args, report):
-    rep = experiments.theorem_matrix(args.max_total, _deadline(args))
+    rep = experiments.theorem_matrix(args.max_total, Deadline(args.budget_seconds))
     report["inputs"] = {"max_total": args.max_total}
     report["result"] = [
         {

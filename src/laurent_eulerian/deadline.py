@@ -1,16 +1,17 @@
 """Cooperative wall-clock budgets for the long computations.
 
-A `Deadline` is passed explicitly (as ``deadline=None`` by default) to the
-loops that can run long; each checks it at its own boundaries (a Buchberger
-pair, a Hilbert slice, a pivot column) and `DeadlineExceeded` unwinds the
-computation from there.  Nothing is interrupted asynchronously, so a budget
-holds on any thread and any platform.
+A `Deadline` is passed explicitly (as `NO_DEADLINE`, which never expires, by
+default) to the loops that can run long; each checks it once per unit of work
+(a Buchberger pair, a popped term, a monomial, a Hilbert slice, a pivot
+column) and `DeadlineExceeded` unwinds the computation from there.  Nothing is
+interrupted asynchronously, so a budget holds on any thread and any platform.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from typing import Optional
 
 
 def valid_seconds(seconds: float) -> bool:
@@ -26,15 +27,20 @@ class DeadlineExceeded(Exception):
 
 
 class Deadline:
-    """A point in time `seconds` from now, on the monotonic clock."""
+    """A point in time `seconds` from now, on the monotonic clock; with
+    seconds None, no budget: the deadline never expires."""
 
-    def __init__(self, seconds: float):
-        if not valid_seconds(seconds):
+    def __init__(self, seconds: Optional[float]):
+        if seconds is not None and not valid_seconds(seconds):
             raise ValueError(f"not a finite, non-negative number of seconds: {seconds!r}")
         self.seconds = seconds
-        self.expires_at = time.monotonic() + seconds
+        self.expires_at = math.inf if seconds is None else time.monotonic() + seconds
 
     def check(self) -> None:
         """Raise DeadlineExceeded once the deadline has passed."""
         if time.monotonic() >= self.expires_at:
             raise DeadlineExceeded(f"budget of {self.seconds} s exhausted")
+
+
+# the default of every budgeted function: a run without a budget
+NO_DEADLINE = Deadline(None)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .algebra import QQ
 from .chow import generic_ci_degree, sparse_ci_degree
-from .deadline import Deadline, DeadlineExceeded
+from .deadline import NO_DEADLINE, Deadline, DeadlineExceeded
 from .eulerian import ORBIT_CAP, divisors, eulerian, deg_Z_circle, orbit_decomposition
 from .groebner import conjecture_unit_check, ideal_quotient_dimension
 from .laurent import weight_zero_exponents
@@ -21,23 +21,18 @@ from .laurent import weight_zero_exponents
 _COEFF_BOUND = 10**6
 # seeds tried by graded_quotient_dims before it reports a degenerate profile
 _MAX_SEEDS = 5
-# monomials enumerated by slice_monomials between two deadline checks
-_SLICE_CHECK_EVERY = 4096
 
 
-def slice_monomials(m: int, n: int, j: int, deadline: Optional[Deadline] = None) -> tuple:
+def slice_monomials(m: int, n: int, j: int, deadline: Deadline = NO_DEADLINE) -> tuple:
     """The x_0-free monomials of bidegree (j, 0), in lexicographic order; a
-    deadline is checked before the first and after every _SLICE_CHECK_EVERY
-    of them."""
+    deadline is checked before the first and after each one."""
     if j < 0:
         raise ValueError("degree must be a natural number")
-    if deadline is not None:
-        deadline.check()
+    deadline.check()
     monomials = []
     for u in weight_zero_exponents(m, n, j, x0_free=True):
         monomials.append(u)
-        if deadline is not None and len(monomials) % _SLICE_CHECK_EVERY == 0:
-            deadline.check()
+        deadline.check()
     return tuple(monomials)
 
 
@@ -50,15 +45,14 @@ class GenericFormSet:
     forms: tuple
 
     @classmethod
-    def generate(cls, seed: int, sizes, deadline: Optional[Deadline] = None) -> "GenericFormSet":
+    def generate(cls, seed: int, sizes, deadline: Deadline = NO_DEADLINE) -> "GenericFormSet":
         """The first len(sizes) forms of the seed's draw, g_j with sizes[j-1]
         coefficients, checking the deadline before each: g_j is the same
         whatever sizes follow."""
         rng = random.Random(seed)
         forms = []
         for size in sizes:
-            if deadline is not None:
-                deadline.check()
+            deadline.check()
             forms.append(np.array([rng.randint(-_COEFF_BOUND, _COEFF_BOUND)
                                    for _ in range(size)], dtype=np.int32))
         return cls(seed, tuple(forms))
@@ -91,20 +85,17 @@ def _slice_keys(monomials, base: int) -> np.ndarray:
 
     The key of u is minus u read as a base-`base` numeral, so keys increase
     along the descending lex order of slice_monomials, and key(u + v) =
-    key(u) + key(v) while every entry of u + v stays below base.  Raises
-    ValueError when a key could leave int64; an empty slice has no keys and
-    is not checked.
+    key(u) + key(v) while every entry of u + v stays below base.  The caller
+    keeps base**nvars within 2**63 (see graded_quotient_dims), so no key
+    leaves int64.
     """
     if not monomials:
         return np.zeros(0, dtype=np.int64)
     E = np.array(monomials, dtype=np.int64)
-    nvars = E.shape[1]
-    if base**nvars > 2**63:
-        raise ValueError(f"slice keys in base {base} over {nvars} variables overflow int64")
-    return -(E @ base ** np.arange(nvars - 1, -1, -1, dtype=np.int64))
+    return -(E @ base ** np.arange(E.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
-def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> np.ndarray:
+def _rank_mod_p(A: np.ndarray, p: int, deadline: Deadline = NO_DEADLINE) -> np.ndarray:
     """Pivot rows of an integer matrix modulo a prime p < 2**15, eliminated in place.
 
     A (int16 residues, or a wider integer dtype) is left overwritten with
@@ -126,8 +117,7 @@ def _rank_mod_p(A: np.ndarray, p: int, deadline: Optional[Deadline] = None) -> n
     for c in range(ncols):
         if r == nrows:
             break
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         nz = np.nonzero(A[r:, c])[0]
         if nz.size == 0:
             continue
@@ -168,7 +158,7 @@ def _positions(index, a: int, b: int) -> np.ndarray:
     return np.searchsorted(index[a + b], index[a][:, None] + index[b])
 
 
-def _span_matrix(forms, index, j: int, deadline: Optional[Deadline] = None) -> np.ndarray:
+def _span_matrix(forms, index, j: int, deadline: Deadline = NO_DEADLINE) -> np.ndarray:
     """Span matrix of slice j: row (i, t) holds q*g_i for i >= 2 (see
     _form_degrees) and the t-th monomial q of slice j-i, rows ordered by i
     then t, columns indexed by slice j in ascending lex order (column
@@ -185,8 +175,7 @@ def _span_matrix(forms, index, j: int, deadline: Optional[Deadline] = None) -> n
     A = np.zeros((sum(len(index[j - i]) for i in degrees), ncols), dtype=np.int16)
     r = 0
     for i in degrees:
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         at = _positions(index, j - i, i)
         A[r + np.arange(len(at))[:, None], ncols - 1 - at] = forms[i - 1]
         r += len(at)
@@ -194,7 +183,7 @@ def _span_matrix(forms, index, j: int, deadline: Optional[Deadline] = None) -> n
 
 
 def _exact_slice_rank(residues, index, j: int,
-                      deadline: Optional[Deadline] = None) -> Optional[int]:
+                      deadline: Deadline = NO_DEADLINE) -> Optional[int]:
     """Certified exact QQ-rank of the degree-j ideal-slice span A, or None
     when the certificate stays open; residues are the forms mod p =
     _RANK_PRIME, as int16.
@@ -214,10 +203,9 @@ def _exact_slice_rank(residues, index, j: int,
     so an unlucky prime can only leave the slice open.  Each matrix is
     overwritten by its elimination.
     """
-    nrows = sum(len(index[j - i]) for i in _form_degrees(residues, j))
-    if not nrows:
-        return 0
-    pivots = _rank_mod_p(_span_matrix(residues, index, j, deadline), _RANK_PRIME, deadline)
+    A = _span_matrix(residues, index, j, deadline)
+    nrows = len(A)
+    pivots = _rank_mod_p(A, _RANK_PRIME, deadline)
     r_low = len(pivots)
     if r_low == min(nrows, len(index[j])):
         return r_low
@@ -231,7 +219,7 @@ def _exact_slice_rank(residues, index, j: int,
 
 
 def _koszul_syzygies(forms, index, j: int, cols: np.ndarray,
-                     deadline: Optional[Deadline] = None) -> np.ndarray:
+                     deadline: Deadline = NO_DEADLINE) -> np.ndarray:
     """Koszul syzygy rows, one per (i < k, monomial q of slice j-i-k) over the
     _form_degrees, restricted to the span rows that cols maps to a column
     (-1: left out).
@@ -247,8 +235,7 @@ def _koszul_syzygies(forms, index, j: int, cols: np.ndarray,
                  dtype=np.int16)
     r = 0
     for i, k in pairs:
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         for row_block, g, sign in ((i, k, 1), (k, i, -1)):
             at = cols[start[row_block] + _positions(index, j - i - k, g)]
             t, u = np.nonzero(at >= 0)
@@ -258,7 +245,7 @@ def _koszul_syzygies(forms, index, j: int, cols: np.ndarray,
 
 
 def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = None,
-                         deadline: Optional[Deadline] = None) -> GradedDims:
+                         deadline: Deadline = NO_DEADLINE) -> GradedDims:
     """Dimension of each bidegree-(j, 0) slice of the quotient by m+n generic forms.
 
     Slice j of the ideal is spanned by q * g_i with q running over slice j-i;
@@ -275,23 +262,26 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     rank certificate stays open has dimension None.  A degenerate seed (a
     slice open, or the total above the Eulerian bound) is retried with the
     next seed, up to _MAX_SEEDS seeds, and all tried seeds are reported; when
-    every seed is degenerate, the last one's profile is returned.  A deadline
-    is checked inside each slice enumeration, once per drawn form, once per
-    slice, and once per pivot column of every elimination.
+    every seed is degenerate, the last one's profile is returned.  A key
+    width past int64 is rejected (ValueError) before any slice is enumerated.
+    A deadline is checked before and after each enumerated monomial, once per
+    drawn form, once per slice, and once per pivot column of every
+    elimination.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     if j_max is None:
         j_max = default_j_max(m, n)
+    # index[t] holds the keys of the x_0-free monomials of slice t; no
+    # exponent in slices 0..j_max exceeds j_max, so the keys are read in base
+    # j_max + 1 over the m + n + 1 variables x_{-m}..x_n
+    base, nvars = j_max + 1, m + n + 1
+    if base**nvars > 2**63:
+        raise ValueError(f"slice keys in base {base} over {nvars} variables overflow int64")
     bound = eulerian(m + n - 1, m - 1)
     tried = []
     result = None
-    # index[t] holds the keys of the x_0-free monomials of slice t; no
-    # exponent in slices 0..j_max exceeds j_max.  Slice 0 is keyed first, with
-    # no deadline check, so a key width past int64 is rejected before anything
-    # else runs.
-    index = [_slice_keys(slice_monomials(m, n, t, deadline if t else None), j_max + 1)
-             for t in range(j_max + 1)]
+    index = [_slice_keys(slice_monomials(m, n, t, deadline), base) for t in range(j_max + 1)]
     # only g_1'..g_{j_max}' reach slices 0..j_max
     sizes = [len(keys) for keys in index[1 : min(m + n, j_max) + 1]]
     for attempt in range(_MAX_SEEDS):
@@ -301,8 +291,7 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
                     for f in GenericFormSet.generate(s, sizes, deadline).forms]
         dims = []
         for j in range(j_max + 1):
-            if deadline is not None:
-                deadline.check()
+            deadline.check()
             rank = _exact_slice_rank(residues, index, j, deadline)
             dims.append(None if rank is None else len(index[j]) - rank)
         result = GradedDims(m, n, s, tuple(tried), tuple(dims))
@@ -394,7 +383,7 @@ class TheoremMatrixReport:
 
 
 def degree_cell(m: int, n: int, field=QQ,
-                deadline: Optional[Deadline] = None) -> TheoremCell:
+                deadline: Deadline = NO_DEADLINE) -> TheoremCell:
     """The degree of I_{m,n} three ways: Groebner staircase, intersection
     number and Eulerian number; the unit-ideal check is left out (None)."""
     ev = eulerian(m + n - 1, m - 1)
@@ -409,7 +398,7 @@ def degree_cell(m: int, n: int, field=QQ,
 
 
 def theorem_matrix(max_total: int,
-                   deadline: Optional[Deadline] = None) -> TheoremMatrixReport:
+                   deadline: Deadline = NO_DEADLINE) -> TheoremMatrixReport:
     """Degree agreement grid: Groebner staircase vs intersection number vs
     Eulerian, plus the unit-ideal check, for every window with m+n <= max_total.
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import QQ, FieldMismatchError, MultiPoly
-from .deadline import Deadline
+from .deadline import NO_DEADLINE, Deadline
 from .laurent import LaurentSpec, constant_term_iterative
 
 
@@ -91,25 +91,18 @@ def leading_term(p: MultiPoly, order: TermOrder):
     return e, p.terms[e]
 
 
-# _reduce checks its deadline once per this many popped work terms
-_REDUCE_CHECK_EVERY = 8
-
-
 def _reduce(p: MultiPoly, reducers, lms, order_key, field,
-            deadline: Optional[Deadline] = None) -> MultiPoly:
+            deadline: Deadline = NO_DEADLINE) -> MultiPoly:
     """Full normal form of p modulo the reducers (tail reduction included).
 
-    A deadline is checked once per _REDUCE_CHECK_EVERY popped work terms.
+    A deadline is checked once per popped work term.
     """
     nvars, offset = p.nvars, p.offset
     remainder: dict = {}
     work = dict(p.terms)
     sub, mul, div = field.sub, field.mul, field.div
-    popped = 0
     while work:
-        popped += 1
-        if deadline is not None and popped % _REDUCE_CHECK_EVERY == 0:
-            deadline.check()
+        deadline.check()
         e = max(work, key=order_key)
         c = work.pop(e)
         for g, lm in zip(reducers, lms):
@@ -159,7 +152,7 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
 
 
 def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
-               deadline: Optional[Deadline] = None) -> GroebnerBasis:
+               deadline: Deadline = NO_DEADLINE) -> GroebnerBasis:
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Normal (degree-minimal) pair selection with the product and chain criteria;
@@ -191,8 +184,7 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
     pairs = [pair_rank(i, j) for i, j in itertools.combinations(range(len(basis)), 2)]
     heapq.heapify(pairs)
     while pairs:
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         *_, i, j = heapq.heappop(pairs)
         done.add((i, j))
         li, lj = lms[i], lms[j]
@@ -238,8 +230,7 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
     # leading monomial divides another, so lms[i] stays the leading monomial
     reduced = []
     for i in sorted(keep, key=lambda i: key(lms[i])):
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         others = [k for k in keep if k != i]
         r = _reduce(basis[i], [basis[k] for k in others], [lms[k] for k in others],
                     key, field, deadline) if others else basis[i]
@@ -315,19 +306,19 @@ def build_ideal(spec: IdealSpec) -> list:
 
 
 def groebner_of_ideal(spec: IdealSpec, order: TermOrder = TermOrder(),
-                      deadline: Optional[Deadline] = None) -> GroebnerBasis:
+                      deadline: Deadline = NO_DEADLINE) -> GroebnerBasis:
     return buchberger(build_ideal(spec), order, deadline=deadline)
 
 
 def ideal_quotient_dimension(m: int, n: int, field=QQ,
-                             deadline: Optional[Deadline] = None):
+                             deadline: Deadline = NO_DEADLINE):
     """Degree of the constant-term ideal with powers 1..m+n-1."""
     return quotient_dimension(
         groebner_of_ideal(IdealSpec(m, n, field=field), deadline=deadline)
     )
 
 
-def conjecture_unit_check(m: int, n: int, deadline: Optional[Deadline] = None) -> bool:
+def conjecture_unit_check(m: int, n: int, deadline: Deadline = NO_DEADLINE) -> bool:
     """Finite evidence only: whether powers 1..m+n generate the unit ideal over QQ."""
     spec = IdealSpec(m, n, max_power=m + n)
     return groebner_of_ideal(spec, deadline=deadline).is_unit

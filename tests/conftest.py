@@ -3,6 +3,7 @@ import random
 import numpy as np
 
 from laurent_eulerian.algebra import MultiPoly
+from laurent_eulerian.deadline import NO_DEADLINE
 from laurent_eulerian.experiments import GenericFormSet
 
 
@@ -20,7 +21,7 @@ def degenerate_seeds(monkeypatch, bad) -> None:
     """Stub GenericFormSet.generate so that every seed in bad gets zero forms."""
     real = GenericFormSet.generate
 
-    def generate(seed, sizes, deadline=None):
+    def generate(seed, sizes, deadline=NO_DEADLINE):
         if seed not in bad:
             return real(seed, sizes, deadline)
         return GenericFormSet(seed, tuple(np.zeros(size, dtype=np.int32) for size in sizes))

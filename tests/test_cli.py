@@ -5,6 +5,7 @@ import pytest
 
 from laurent_eulerian import experiments
 from laurent_eulerian.cli import main
+from laurent_eulerian.deadline import NO_DEADLINE
 from conftest import degenerate_seeds
 
 
@@ -189,7 +190,7 @@ class TestCommands:
         assert rep["agreement"] is None
 
     def test_degree_reports_the_degree_cell(self, capsys, monkeypatch):
-        def cell(m, n, field, deadline=None):
+        def cell(m, n, field, deadline=NO_DEADLINE):
             return experiments.TheoremCell(m, n, 11, "infinite", 11, None)
 
         monkeypatch.setattr(experiments, "degree_cell", cell)
@@ -312,7 +313,11 @@ class TestExitCodes:
                       "m and n must be positive", id="hilbert-slices-m--1"),
          pytest.param(["hilbert-slices", "--m", "7", "--n", "7"],
                       "slice keys in base 91 over 15 variables overflow int64",
-                      id="hilbert-slices-key-overflow")],
+                      id="hilbert-slices-key-overflow"),
+         # the key width is checked before a zero budget can expire
+         pytest.param(["hilbert-slices", "--m", "7", "--n", "7", "--budget-seconds", "0"],
+                      "slice keys in base 91 over 15 variables overflow int64",
+                      id="hilbert-slices-key-overflow-zero-budget")],
     )
     def test_bad_window_or_step_is_a_usage_error(self, capsys, fmt, argv, message):
         # not a crash (exit 3), a silent 0, or a disagreement (exit 1)

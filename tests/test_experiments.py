@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,11 +12,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from laurent_eulerian import experiments
 from laurent_eulerian.algebra import QQ, ExactMatrix, MultiPoly, PrimeField
-from laurent_eulerian.deadline import Deadline, DeadlineExceeded
+from laurent_eulerian.deadline import NO_DEADLINE, Deadline, DeadlineExceeded
 from laurent_eulerian.eulerian import eulerian, orbit_decomposition
 from laurent_eulerian.experiments import (
     _RANK_PRIME,
-    _SLICE_CHECK_EVERY,
     GenericFormSet,
     _exact_slice_rank,
     _koszul_syzygies,
@@ -66,7 +64,8 @@ class TestSlices:
         monomials = slice_monomials(6, 6, 10, deadline)
         assert monomials == slice_monomials(6, 6, 10)
         assert len(monomials) == 8510
-        assert deadline.calls == math.ceil(len(monomials) / _SLICE_CHECK_EVERY) == 3
+        # one check before the first monomial and one after each
+        assert deadline.calls == len(monomials) + 1 == 8511
         with pytest.raises(DeadlineExceeded):
             slice_monomials(6, 6, 10, Deadline(0))
 
@@ -198,7 +197,7 @@ class TestGradedDims:
         counts = []
         real = GenericFormSet.generate
 
-        def generate(seed, sizes, deadline=None):
+        def generate(seed, sizes, deadline=NO_DEADLINE):
             counts.append(len(sizes))
             return real(seed, sizes, deadline)
 
@@ -223,7 +222,7 @@ class TestGradedDims:
         enumerated = []
         real = experiments.slice_monomials
 
-        def enumerate_slice(m, n, j, deadline=None):
+        def enumerate_slice(m, n, j, deadline=NO_DEADLINE):
             monomials = real(m, n, j, deadline)
             enumerated.append(j)
             return monomials
@@ -233,10 +232,17 @@ class TestGradedDims:
 
         monkeypatch.setattr(experiments, "slice_monomials", enumerate_slice)
         monkeypatch.setattr(GenericFormSet, "generate", no_forms)
-        # slices 1..3 of (8, 8) take one check each; slice 4 expires at its first
-        with pytest.raises(DeadlineExceeded):
-            graded_quotient_dims(8, 8, j_max=12, deadline=ExpiringDeadline(3))
-        assert enumerated == [0, 1, 2, 3]
+        # slice t of (8, 8) takes 1 + |slice t| checks: slices 0..3 take 45,
+        # so slice 4 expires at its first check, and with one check fewer
+        # slice 3 expires at its last
+        sizes = [len(real(8, 8, t)) for t in range(4)]
+        assert sizes == [1, 0, 8, 32]
+        budget = sum(1 + size for size in sizes)
+        for checks, done in [(budget, [0, 1, 2, 3]), (budget - 1, [0, 1, 2])]:
+            enumerated.clear()
+            with pytest.raises(DeadlineExceeded):
+                graded_quotient_dims(8, 8, j_max=12, deadline=ExpiringDeadline(checks))
+            assert enumerated == done
 
     def test_each_slice_is_enumerated_once(self, monkeypatch):
         # across three seeds, every slice is walked once, only through
@@ -245,7 +251,7 @@ class TestGradedDims:
         sliced, walked = [], []
         real_slice, real_walk = experiments.slice_monomials, experiments.weight_zero_exponents
 
-        def enumerate_slice(m, n, j, deadline=None):
+        def enumerate_slice(m, n, j, deadline=NO_DEADLINE):
             sliced.append(j)
             return real_slice(m, n, j, deadline)
 
@@ -267,7 +273,7 @@ class TestGradedDims:
         seen = []
         real = GenericFormSet.generate
 
-        def generate(seed, sizes, deadline=None):
+        def generate(seed, sizes, deadline=NO_DEADLINE):
             seen.append(list(sizes))
             return real(seed, sizes, deadline)
 
@@ -278,12 +284,18 @@ class TestGradedDims:
         assert seen[0][0] == 0
 
     def test_key_overflow_is_found_before_any_form(self, monkeypatch):
-        def no_forms(*args):
-            raise AssertionError("no form may be drawn when the slice keys overflow")
+        def no_work(*args):
+            raise AssertionError("no slice or form may be made when the slice keys overflow")
 
-        monkeypatch.setattr(GenericFormSet, "generate", no_forms)
+        monkeypatch.setattr(experiments, "slice_monomials", no_work)
+        monkeypatch.setattr(GenericFormSet, "generate", no_work)
         with pytest.raises(ValueError, match="base 91 over 15 variables overflow int64"):
             graded_quotient_dims(7, 7)
+        # (7, 7) keys are read in base j_max + 1 over 15 variables, and
+        # 18**15 < 2**63 < 19**15: j_max = 18 is the first that overflows
+        assert 18**15 < 2**63 < 19**15
+        with pytest.raises(ValueError, match="base 19 over 15 variables overflow int64"):
+            graded_quotient_dims(7, 7, j_max=18)
 
     def test_rank_mod_p_checks_deadline(self):
         M = np.eye(4, dtype=np.int64)
@@ -308,7 +320,7 @@ class TestGradedDims:
 
         ranked = []
 
-        def fake_rank(M, p, deadline=None):
+        def fake_rank(M, p, deadline=NO_DEADLINE):
             # the span matrix gets no pivot rows, so the syzygy matrix is built
             # on every row and closes the sandwich; neither elimination checks
             # the deadline
@@ -487,8 +499,6 @@ class TestSliceRankCertificate:
             assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
         # the largest base that fits: 2**63 - 1 is the largest key magnitude
         assert _slice_keys([(1,) * 63], 2).tolist() == [-(2**63 - 1)]
-        with pytest.raises(ValueError, match="overflow int64"):
-            _slice_keys([(0,) * 13], 66)
 
     def test_top_slice_memory_per_span_entry(self):
         # the x_0-free top slice of (2, 4) spans a 321 x 165 matrix (1604 x 677
@@ -538,7 +548,7 @@ class TestSliceRankCertificate:
         certified = []
         real_slice = experiments._exact_slice_rank
 
-        def slice_spy(residues, index, j, deadline=None):
+        def slice_spy(residues, index, j, deadline=NO_DEADLINE):
             certified.append(real_slice(residues, index, j, deadline))
             return certified[-1]
 
@@ -588,13 +598,13 @@ class TestSliceRankCertificate:
         events = []
         real_rank, real_slice = experiments._rank_mod_p, experiments._exact_slice_rank
 
-        def rank_spy(M, p, deadline=None):
+        def rank_spy(M, p, deadline=NO_DEADLINE):
             shape = M.shape
             pivots = real_rank(M, p, deadline)
             events.append((shape, len(pivots)))
             return pivots
 
-        def slice_spy(residues, index, j, deadline=None):
+        def slice_spy(residues, index, j, deadline=NO_DEADLINE):
             events.append(j)
             return real_slice(residues, index, j, deadline)
 
@@ -713,7 +723,7 @@ class TestDegreeCell:
     def test_field_reaches_the_groebner_degree(self, monkeypatch):
         seen = []
 
-        def spy(m, n, field, deadline=None):
+        def spy(m, n, field, deadline=NO_DEADLINE):
             seen.append(field)
             return 11
 
@@ -754,7 +764,9 @@ class TestTheoremMatrix:
         # a grid that checked nothing neither agrees nor disagrees
         assert rep.agrees is None
 
-    @pytest.mark.parametrize("k", [40, 200, 600])  # the full grid makes 674 checks
+    # the full grid makes 1070 checks: one per pair, interreduced element and
+    # popped term
+    @pytest.mark.parametrize("k", [40, 200, 600, 1000])
     def test_cut_cell_and_every_later_cell_time_out(self, k):
         rep = theorem_matrix(5, ExpiresAfter(k))
         status = [c.timeout for c in rep.cells]

@@ -6,7 +6,7 @@ import sympy
 
 from laurent_eulerian import groebner
 from laurent_eulerian.algebra import QQ, MultiPoly, PrimeField
-from laurent_eulerian.deadline import Deadline, DeadlineExceeded
+from laurent_eulerian.deadline import NO_DEADLINE, Deadline, DeadlineExceeded
 from laurent_eulerian.groebner import (
     INFINITE,
     IdealSpec,
@@ -205,7 +205,7 @@ class TestConstantTermIdeals:
                 self.calls += 1
 
         # x^N reduced by x - 1 pops x^N, x^(N-1), ..., 1: N + 1 work terms
-        N = 10 * groebner._REDUCE_CHECK_EVERY
+        N = 80
         key = TermOrder().key()
         x = MultiPoly({(1,): 1}, 1, 0, QQ)
         reducer = x - MultiPoly({(0,): 1}, 1, 0, QQ)
@@ -213,7 +213,8 @@ class TestConstantTermIdeals:
         r = groebner._reduce(MultiPoly({(N,): 1}, 1, 0, QQ), [reducer], [(1,)], key,
                              QQ, deadline)
         assert r == MultiPoly({(0,): 1}, 1, 0, QQ)
-        assert deadline.calls == (N + 1) // groebner._REDUCE_CHECK_EVERY
+        # one check per popped term
+        assert deadline.calls == N + 1
         with pytest.raises(DeadlineExceeded):
             groebner._reduce(MultiPoly({(N,): 1}, 1, 0, QQ), [reducer], [(1,)], key,
                              QQ, Deadline(0))
@@ -222,7 +223,7 @@ class TestConstantTermIdeals:
         seen = []
         real = groebner._reduce
 
-        def spy(p, reducers, lms, order_key, field, deadline=None):
+        def spy(p, reducers, lms, order_key, field, deadline=NO_DEADLINE):
             seen.append(deadline)
             return real(p, reducers, lms, order_key, field, deadline)
 

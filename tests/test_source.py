@@ -71,6 +71,63 @@ def test_one_clock():
     assert readers == ["deadline.py"]
 
 
+def none_deadlines(source: str) -> list:
+    """'line: code' for each deadline parameter that defaults to anything but
+    NO_DEADLINE, and each comparison or conditional that pairs a deadline
+    with None."""
+    def is_deadline(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "deadline"
+                or isinstance(node, ast.Attribute) and node.attr == "deadline")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            defaults += [(p, d) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            found += [f"{node.lineno}: {p.arg}={ast.unparse(d)}" for p, d in defaults
+                      if p.arg == "deadline"
+                      and not (isinstance(d, ast.Name) and d.id == "NO_DEADLINE")]
+        elif isinstance(node, (ast.Compare, ast.IfExp)):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            else:
+                operands = [node.body, node.orelse]
+            if any(map(is_deadline, operands)) and any(
+                    isinstance(o, ast.Constant) and o.value is None for o in operands):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_none_deadline_detector():
+    source = (
+        "def f(x, deadline=None): pass\n"
+        "def g(deadline: Deadline = NO_DEADLINE): pass\n"
+        "def h(*, deadline=Deadline(1)): pass\n"
+        "def k(deadline): pass\n"
+        "if deadline is not None: pass\n"
+        "if self.deadline == None: pass\n"
+        "y = slices(deadline if t else None)\n"
+        "z = seconds is None\n"
+        "w = Deadline(None)\n"
+    )
+    assert none_deadlines(source) == [
+        "1: deadline=None",
+        "3: deadline=Deadline(1)",
+        "5: deadline is not None",
+        "6: self.deadline == None",
+        "7: deadline if t else None",
+    ]
+
+
+def test_one_budget_path():
+    # no budget is NO_DEADLINE, a Deadline that never expires, so every
+    # budgeted loop checks unconditionally: no None stands in for a deadline
+    found = {p.name: none_deadlines(p.read_text()) for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def definitions(tree) -> list:
     """(qualified name, node) of every function, class and method, nested too."""
     found = []
