@@ -226,17 +226,6 @@ class MultiPoly:
             return NotImplemented
         return self + (-other)
 
-    def scale(self, c) -> "MultiPoly":
-        c = self.field.coerce(c)
-        if not c:
-            return MultiPoly.zero(self.nvars, self.offset, self.field)
-        mul = self.field.mul
-        # over a field a product of nonzero elements is nonzero
-        out = {e: mul(coef, c) for e, coef in self.terms.items()}
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms, p.nvars, p.offset, p.field = out, self.nvars, self.offset, self.field
-        return p
-
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented

@@ -6,7 +6,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import QQ, FieldMismatchError, MultiPoly
@@ -26,51 +25,135 @@ class TermOrder:
             raise ValueError(f"unknown order kind {self.kind!r}")
 
     def key(self):
+        """The order on exponent tuples as a sort key; Packing encodes it."""
         if self.kind == "lex":
             return lambda e: e
         return lambda e: (sum(e), tuple(-u for u in reversed(e)))
 
 
-def _monomial_divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+class ExponentOverflow(OverflowError):
+    """A monomial has a field that does not fit its packing's width."""
 
 
-def _monomial_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+class Packing:
+    """Exponent vectors packed into single integers (Monagan & Pearce 2007).
+
+    Every field is `width` value bits under one guard bit, and the guard bits
+    of a packed monomial are zero.  The low fields hold the exponents.  For
+    degrevlex the fields above them hold the prefix sums a_0 + ... + a_k,
+    k = 0..nvars-1, so that read from the top they are deg, deg - a_{n-1},
+    deg - a_{n-1} - a_{n-2}, ...: TermOrder.key shifted to naturals.  For lex
+    the exponents are the only fields, x_0's on top.  Every field is linear in
+    the exponents, so
+
+    - comparing two packed integers compares the monomials in the term order;
+    - a + b packs the product, and b - a the quotient when a divides b;
+    - a divides b iff b - a sets no guard bit, since the lowest field that
+      borrows sets its own;
+    - a product overflows iff it sets a guard bit: each field of a sum of two
+      packed monomials is below 2**(width + 1).
+    """
+
+    def __init__(self, order: TermOrder, nvars: int, width: int):
+        step = width + 1
+        self.width = width
+        self._field = (1 << width) - 1
+        if order.kind == "degrevlex":
+            nfields = 2 * nvars
+            self._shifts = [step * i for i in range(nvars)]
+            # the exponent fields times _sums put a_0 + ... + a_k in field nvars + k
+            self._sums = sum(1 << step * (nvars + k) for k in range(nvars))
+            self._largest = sum
+        else:
+            nfields = nvars
+            self._shifts = [step * (nvars - 1 - i) for i in range(nvars)]
+            self._sums = 0
+            self._largest = max
+        self._sums_mask = sum(self._field << step * f for f in range(nvars, nfields))
+        self.guards = sum(1 << step * f + width for f in range(nfields))
+        self._exponents = sum(self._field << s for s in self._shifts)
+        self._exponent_guards = sum(1 << s + width for s in self._shifts)
+
+    def _with_sums(self, x: int) -> int:
+        """The packed monomial whose exponent fields are x's."""
+        return x + (x * self._sums & self._sums_mask)
+
+    def pack(self, e: tuple) -> int:
+        if self._largest(e) > self._field:
+            raise ExponentOverflow(f"{e} does not fit {self.width}-bit fields")
+        return self._with_sums(sum(a << s for a, s in zip(e, self._shifts)))
+
+    def unpack(self, p: int) -> tuple:
+        return tuple(p >> s & self._field for s in self._shifts)
+
+    def _ge_mask(self, a: int, b: int, guards: int) -> int:
+        """All value bits of each field (among those guards marks) where a's
+        field is at least b's: (a | guards) - b borrows across no field."""
+        t = ((a | guards) - b) & guards
+        return t - (t >> self.width)
+
+    def lcm(self, a: int, b: int) -> int:
+        """lcm(a, b) = a + b - gcd(a, b); raises ExponentOverflow if it does not fit."""
+        ge = self._ge_mask(a, b, self._exponent_guards)
+        gcd = b & ge | a & (self._exponents ^ ge)
+        lcm = a + b - self._with_sums(gcd)
+        if lcm & self.guards:
+            raise ExponentOverflow("an lcm does not fit the fields")
+        return lcm
+
+    def top(self, monomials) -> int:
+        """The fieldwise maximum of the monomials: top + s sets a guard bit
+        iff m + s does for some monomial m."""
+        top = 0
+        for p in monomials:
+            ge = self._ge_mask(top, p, self.guards)
+            top = top & ge | p & ~ge
+        return top
 
 
-def _monomial_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+def _on_packing(order: TermOrder, nvars: int, degree: int, run):
+    """run(packing) on fields wide enough for four times the degree, doubling
+    the width each time a monomial overflows."""
+    width = max(4 * degree, 1).bit_length()
+    while True:
+        try:
+            return run(Packing(order, nvars, width))
+        except ExponentOverflow:
+            width *= 2
 
 
-def _make_primitive(p: MultiPoly) -> MultiPoly:
-    """Over QQ, scale to integer coefficients with content 1 and positive lead."""
-    if p.field != QQ or p.is_zero:
-        return p
-    den = 1
-    for c in p.terms.values():
-        den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
-    num = 0
-    for c in p.terms.values():
-        num = math.gcd(num, abs(Fraction(c).numerator * (den // Fraction(c).denominator)))
-    scale = Fraction(den, num)
-    return p.scale(scale)
+def _make_primitive(terms: dict, field) -> dict:
+    """Over QQ, scale to integer coefficients with content 1 (the sign is
+    kept); over other fields, leave unchanged."""
+    if field != QQ:
+        return terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    content = math.gcd(*ints.values())
+    return {e: c // content for e, c in ints.items()}
+
+
+def _element(terms: dict, packing: Packing) -> tuple:
+    """A packed polynomial as (lm, lc, tail, top): its leading monomial and
+    coefficient, its other terms as (monomial, coefficient) pairs, and the
+    fieldwise maximum of its monomials."""
+    lm = max(terms)
+    tail = [(e, c) for e, c in terms.items() if e != lm]
+    return lm, terms[lm], tail, packing.top(terms)
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, interreduced, deterministic element order."""
+    """Reduced Groebner basis: monic, interreduced, in increasing order of the
+    leading monomials, which `leading` lists as exponent tuples."""
 
-    def __init__(self, elements: Sequence[MultiPoly], order: TermOrder, nvars: int, offset: int, field):
+    def __init__(self, elements: Sequence[MultiPoly], leading: Sequence[tuple],
+                 order: TermOrder, nvars: int, offset: int, field):
+        self.elements = list(elements)
+        self.leading = list(leading)
         self.order = order
         self.nvars = nvars
         self.offset = offset
         self.field = field
-        self._key = order.key()
-        self.elements = list(elements)
-        self.leading = [self._lm(g) for g in self.elements]
-
-    def _lm(self, p: MultiPoly) -> tuple:
-        return max(p.terms, key=self._key)
 
     def __len__(self):
         return len(self.elements)
@@ -91,43 +174,42 @@ def leading_term(p: MultiPoly, order: TermOrder):
     return e, p.terms[e]
 
 
-def _reduce(p: MultiPoly, reducers, lms, order_key, field,
-            deadline: Deadline = NO_DEADLINE) -> MultiPoly:
-    """Full normal form of p modulo the reducers (tail reduction included).
+def _reduce(work: dict, reducers, field, guards: int,
+            deadline: Deadline = NO_DEADLINE) -> dict:
+    """Full normal form (tail reduction included) of the packed polynomial
+    work, which is consumed, modulo the reducers, each an _element.
 
+    The first reducer whose leading monomial divides a popped term reduces it.
     A deadline is checked once per popped work term.
     """
-    nvars, offset = p.nvars, p.offset
-    remainder: dict = {}
-    work = dict(p.terms)
-    sub, mul, div = field.sub, field.mul, field.div
+    remainder = {}
+    sub, mul, div, neg = field.sub, field.mul, field.div, field.neg
     while work:
         deadline.check()
-        e = max(work, key=order_key)
+        e = max(work)
         c = work.pop(e)
-        for g, lm in zip(reducers, lms):
-            if _monomial_divides(lm, e):
-                shift = _monomial_sub(e, lm)
-                factor = div(c, g.terms[lm])
-                for ge, gc in g.terms.items():
-                    if ge == lm:
-                        continue
-                    te = tuple(x + y for x, y in zip(ge, shift))
-                    v = mul(factor, gc)
-                    if te in work:
-                        s = sub(work[te], v)
-                        if s:
-                            work[te] = s
-                        else:
-                            del work[te]
+        for lm, lc, tail, top in reducers:
+            shift = e - lm
+            if shift & guards:
+                continue
+            if (top + shift) & guards:
+                raise ExponentOverflow("a reduction step does not fit the fields")
+            factor = div(c, lc)
+            for ge, gc in tail:
+                te = ge + shift
+                v = mul(factor, gc)
+                if te in work:
+                    s = sub(work[te], v)
+                    if s:
+                        work[te] = s
                     else:
-                        nv = field.neg(v)
-                        if nv:
-                            work[te] = nv
-                break
+                        del work[te]
+                else:  # factor, gc nonzero, so v is too
+                    work[te] = neg(v)
+            break
         else:
             remainder[e] = c
-    return MultiPoly(remainder, nvars, offset, field)
+    return remainder
 
 
 def normal_form(p: MultiPoly, G: GroebnerBasis) -> MultiPoly:
@@ -138,29 +220,127 @@ def normal_form(p: MultiPoly, G: GroebnerBasis) -> MultiPoly:
         raise ValueError("variable window mismatch")
     if p.is_zero:
         return p
-    return _reduce(p, G.elements, G.leading, G._key, G.field)
+
+    def run(packing):
+        def packed(q):
+            return {packing.pack(e): c for e, c in q.terms.items()}
+
+        reducers = [_element(packed(g), packing) for g in G]
+        r = _reduce(packed(p), reducers, G.field, packing.guards)
+        return {packing.unpack(e): c for e, c in r.items()}
+
+    degree = max(sum(e) for q in (p, *G) for e in q.terms)
+    return MultiPoly(_on_packing(G.order, G.nvars, degree, run), p.nvars, p.offset, p.field)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
     ef, cf = leading_term(f, order)
     eg, cg = leading_term(g, order)
-    lcm = _monomial_lcm(ef, eg)
+    lcm = tuple(map(max, ef, eg))
     fld = f.field
-    mf = MultiPoly({_monomial_sub(lcm, ef): fld.inv(cf)}, f.nvars, f.offset, fld)
-    mg = MultiPoly({_monomial_sub(lcm, eg): fld.inv(cg)}, f.nvars, f.offset, fld)
+    mf = MultiPoly({tuple(a - b for a, b in zip(lcm, ef)): fld.inv(cf)}, f.nvars, f.offset, fld)
+    mg = MultiPoly({tuple(a - b for a, b in zip(lcm, eg)): fld.inv(cg)}, f.nvars, f.offset, fld)
     return mf * f - mg * g
+
+
+def _s_polynomial(f: tuple, g: tuple, lcm: int, field, guards: int) -> dict:
+    """lc(g) (lcm / lm(f)) f - lc(f) (lcm / lm(g)) g for two _elements; the
+    leading terms cancel and are left out."""
+    (lf, cf, tail_f, top_f), (lg, cg, tail_g, top_g) = f, g
+    shift_f, shift_g = lcm - lf, lcm - lg
+    if (top_f + shift_f) & guards or (top_g + shift_g) & guards:
+        raise ExponentOverflow("an s-polynomial does not fit the fields")
+    sub, mul = field.sub, field.mul
+    s = {e + shift_f: mul(cg, c) for e, c in tail_f}
+    for e, c in tail_g:
+        e += shift_g
+        v = mul(cf, c)
+        if e in s:
+            d = sub(s[e], v)
+            if d:
+                s[e] = d
+            else:
+                del s[e]
+        else:
+            s[e] = field.neg(v)
+    return s
+
+
+def _buchberger(gens: Sequence[dict], packing: Packing, field, deadline: Deadline) -> list:
+    """The reduced Groebner basis of the packed generators, as monic packed
+    polynomials in increasing leading-monomial order."""
+    guards = packing.guards
+    elements = []  # every _element added, generators first
+    active = []  # indices of the elements whose leading monomial no later one divides
+    reducers = []  # the active elements
+    pairs = []  # heap of (degree of the lcm, lcm, i, j), i < j
+
+    def add(terms: dict) -> None:
+        """The Gebauer-Moeller update (Gebauer & Moeller 1988) for a new element."""
+        h = _element(terms, packing)
+        t, lm = len(elements), h[0]
+        lcms = [packing.lcm(g[0], lm) for g in elements]
+        # criterion B: lm(h) divides the lcm of an old pair and the lcms
+        # with h of both its elements differ from it
+        pairs[:] = [p for p in pairs
+                    if (p[1] - lm) & guards or p[1] == lcms[p[2]] or p[1] == lcms[p[3]]]
+        heapq.heapify(pairs)
+        # criteria M and F: a new pair goes when another one's lcm divides its
+        # lcm; pairs are taken from the highest index down, so that of equal
+        # lcms the lowest index stays.  Coprime pairs stay here to drop others,
+        # then the product criterion drops them too.
+        waiting, kept = active[:], []
+        while waiting:
+            i = waiting.pop()
+            lcm = lcms[i]
+            coprime = lcm == elements[i][0] + lm
+            if coprime or all((lcm - lcms[k]) & guards for k in itertools.chain(waiting, kept)):
+                kept.append(i)
+                if not coprime:
+                    heapq.heappush(pairs, (sum(packing.unpack(lcm)), lcm, i, t))
+        elements.append(h)
+        active[:] = [i for i in active if (elements[i][0] - lm) & guards] + [t]
+        reducers[:] = [elements[i] for i in active]
+
+    for g in gens:
+        add(_make_primitive(g, field))
+    while pairs:
+        deadline.check()
+        _, lcm, i, j = heapq.heappop(pairs)
+        s = _s_polynomial(elements[i], elements[j], lcm, field, guards)
+        r = _reduce(s, reducers, field, guards, deadline)
+        if r:
+            add(_make_primitive(r, field))
+
+    # minimalize: a generator's leading monomial can be a multiple of an
+    # earlier one's; no two active leading monomials are equal
+    lms = {i: elements[i][0] for i in active}
+    keep = [i for i in active
+            if all(k == i or (lms[i] - lms[k]) & guards for k in active)]
+    # interreduce tails and make monic; no kept leading monomial divides another
+    basis = []
+    for i in sorted(keep, key=lms.get):
+        deadline.check()
+        lm, lc, tail, _ = elements[i]
+        r = _reduce(dict(tail), [elements[k] for k in keep if k != i], field, guards, deadline)
+        inv = field.inv(lc)
+        basis.append({lm: field.one, **{e: field.mul(c, inv) for e, c in r.items()}})
+    return basis
 
 
 def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
                deadline: Deadline = NO_DEADLINE) -> GroebnerBasis:
-    """Reduced Groebner basis by Buchberger's algorithm.
+    """Reduced Groebner basis by Buchberger's algorithm on packed monomials.
 
-    Normal (degree-minimal) pair selection with the product and chain criteria;
-    ties broken by generator index, so the result is deterministic.  Leading
-    monomials never change, so each pair's rank is fixed when it is queued and
-    a heap pops pairs in exactly the order of a full rescan.  A deadline
-    is checked once per popped pair, once per element interreduced, and inside
-    every reduction (see _reduce).
+    Each new element enters by the Gebauer-Moeller update: of its pairs, only
+    those that survive criteria M and F and the product criterion are
+    queued, and criterion B drops the old pairs it makes redundant.  Only
+    the elements whose leading monomial no later element's divides serve as
+    reducers.  The queue pops the pair of least lcm degree, then least lcm,
+    then least indices.  Fields start wide enough for four times the largest
+    generator degree and double, from the start, if a monomial overflows.
+    A deadline is checked once per popped pair, once per element
+    interreduced, and inside every reduction (see _reduce).
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
@@ -171,71 +351,17 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
             raise FieldMismatchError("generators over mixed fields")
         if (g.nvars, g.offset) != (nvars, offset):
             raise ValueError("generators over mixed variable windows")
-    key = order.key()
 
-    basis = [_make_primitive(g) for g in gens]
-    lms = [max(g.terms, key=key) for g in basis]
-    done = set()
+    def run(packing):
+        packed = [{packing.pack(e): c for e, c in g.terms.items()} for g in gens]
+        basis = _buchberger(packed, packing, field, deadline)
+        return ([MultiPoly({packing.unpack(e): c for e, c in b.items()}, nvars, offset, field)
+                 for b in basis],
+                [packing.unpack(max(b)) for b in basis])
 
-    def pair_rank(i, j):
-        lcm = _monomial_lcm(lms[i], lms[j])
-        return (sum(lcm), key(lcm), i, j)
-
-    pairs = [pair_rank(i, j) for i, j in itertools.combinations(range(len(basis)), 2)]
-    heapq.heapify(pairs)
-    while pairs:
-        deadline.check()
-        *_, i, j = heapq.heappop(pairs)
-        done.add((i, j))
-        li, lj = lms[i], lms[j]
-        lcm = _monomial_lcm(li, lj)
-        # product criterion: coprime leading monomials
-        if all(a + b == c for a, b, c in zip(li, lj, lcm)):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _monomial_divides(lms[k], lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = s_polynomial(basis[i], basis[j], order)
-        r = _reduce(s, basis, lms, key, field, deadline) if not s.is_zero else s
-        if r.is_zero:
-            continue
-        r = _make_primitive(r)
-        t = len(basis)
-        basis.append(r)
-        lms.append(max(r.terms, key=key))
-        for u in range(t):
-            heapq.heappush(pairs, pair_rank(u, t))
-
-    # minimalize: drop elements whose leading monomial is divisible by another's
-    keep = []
-    for i in range(len(basis)):
-        if not any(
-            k != i
-            and _monomial_divides(lms[k], lms[i])
-            and (lms[k] != lms[i] or k < i)
-            for k in range(len(basis))
-        ):
-            keep.append(i)
-    # interreduce tails and make monic, in leading-monomial order; no kept
-    # leading monomial divides another, so lms[i] stays the leading monomial
-    reduced = []
-    for i in sorted(keep, key=lambda i: key(lms[i])):
-        deadline.check()
-        others = [k for k in keep if k != i]
-        r = _reduce(basis[i], [basis[k] for k in others], [lms[k] for k in others],
-                    key, field, deadline) if others else basis[i]
-        reduced.append(r.scale(field.inv(r.terms[lms[i]])))
-    return GroebnerBasis(reduced, order, nvars, offset, field)
+    degree = max(sum(e) for g in gens for e in g.terms)
+    elements, leading = _on_packing(order, nvars, degree, run)
+    return GroebnerBasis(elements, leading, order, nvars, offset, field)
 
 
 INFINITE = "infinite"
@@ -269,7 +395,7 @@ def staircase_monomials(G: GroebnerBasis) -> list:
     return [
         mono
         for mono in itertools.product(*(range(b) for b in bounds))
-        if not any(_monomial_divides(lm, mono) for lm in lms)
+        if not any(all(map(int.__le__, lm, mono)) for lm in lms)
     ]
 
 

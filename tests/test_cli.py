@@ -241,7 +241,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["groebner", "degree", "conjecture-check"])
     def test_budget_timeout_groebner_commands(self, capsys, command):
         code, rep = run_json(
-            capsys, [command, "--m", "3", "--n", "3", "--budget-seconds", "0.05"]
+            capsys, [command, "--m", "3", "--n", "4", "--budget-seconds", "0.05"]
         )
         assert code == 0
         assert rep["command"] == command

@@ -25,6 +25,9 @@ README = TESTS.parent / "README.md"
 # kept although no program path calls them: tests check the program against them
 TEST_ORACLES = {
     "normal_form",
+    "s_polynomial",
+    "leading_term",
+    "TermOrder.key",
     "ExactMatrix.rank",
     "ray_matrix",
     "eulerian_bruteforce",
