@@ -168,18 +168,6 @@ class MultiPoly:
         self.offset = offset
         self.field = field
 
-    @classmethod
-    def zero(cls, nvars: int, offset: int, field) -> "MultiPoly":
-        return cls({}, nvars, offset, field)
-
-    @classmethod
-    def variable(cls, j: int, nvars: int, offset: int, field) -> "MultiPoly":
-        if not offset <= j < offset + nvars:
-            raise ValueError(f"variable index {j} outside window [{offset}, {offset + nvars - 1}]")
-        exps = [0] * nvars
-        exps[j - offset] = 1
-        return cls({tuple(exps): field.one}, nvars, offset, field)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

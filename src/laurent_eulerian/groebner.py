@@ -418,16 +418,17 @@ class IdealSpec:
 
 
 def build_ideal(spec: IdealSpec) -> list:
-    """Generators: constant terms of the powers 1..max_power with the endpoint
-    variables set to 1 (the dehomogenized window)."""
+    """Generators: constant terms of the powers 1..max_power, all from one
+    pass of constant_term_iterative, with the endpoint variables set to 1
+    (the dehomogenized window)."""
     lspec = LaurentSpec(spec.m, spec.n, field=spec.field)
     # Setting x_{-m} = x_n = 1 drops their exponents, and no two terms merge:
     # a term's degree i and weight 0 fix its x_{-m} and x_n exponents from the
     # others, because that 2x2 system has determinant m+n.
     return [
-        MultiPoly({e[1:-1]: c for e, c in constant_term_iterative(lspec, i).terms.items()},
+        MultiPoly({e[1:-1]: c for e, c in ct.terms.items()},
                   spec.m + spec.n - 1, -spec.m + 1, spec.field)
-        for i in range(1, spec.max_power + 1)
+        for ct in constant_term_iterative(lspec, spec.max_power)
     ]
 
 

@@ -1,11 +1,13 @@
 """Constant terms of powers of window Laurent polynomials.
 
-Two independent algorithms compute the z^0 coefficient of the i-th power of
+Two independent algorithms compute the z^0 coefficients of the powers of
 
     x_{-m} z^{-m} + x_{-m+1} z^{-m+1} + ... + x_{n-1} z^{n-1} + x_n z^n
 
-whose coefficient of z^j is the variable x_j: repeated convolution in z, and
-direct multinomial summation over weight-zero exponent vectors.
+whose coefficient of z^j is the variable x_j: one pass of repeated
+multiplication in z, counting over the integers, gives every power up to a
+top; direct multinomial summation over weight-zero exponent vectors gives one
+power by formula.
 """
 
 from __future__ import annotations
@@ -28,59 +30,42 @@ class LaurentSpec:
         if self.m < 1 or self.n < 1:
             raise ValueError("window requires m >= 1 and n >= 1")
 
-    def z_coefficients(self) -> dict:
-        """Mapping z-exponent j -> the variable x_j."""
-        nvars = self.m + self.n + 1
-        return {
-            j: MultiPoly.variable(j, nvars, -self.m, self.field)
-            for j in range(-self.m, self.n + 1)
-        }
-
 
 def _check_power(i: int):
     if i < 1:
         raise ValueError("power must be a positive integer (powers are 1-indexed)")
 
 
-def _times_base(current: dict, base: dict, lo: int, hi: int) -> dict:
-    """current * base as exponent -> coefficient, keeping exponents in [lo, hi].
+def constant_term_iterative(spec: LaurentSpec, top: int) -> list:
+    """[z^0 coefficient of the i-th power for i = 1..top], in one pass of
+    repeated multiplication by the window polynomial over the integers.
 
-    Coefficients that cancel are dropped.  No product is tested for zero: the
-    coefficients are nonzero polynomials over a field.
+    The pass holds a power as z-exponent -> {exponent vector: count}, and
+    the term x_j z^j adds one to the exponent of x_j.  At power s it keeps only
+    the z-exponents in [-n*(top-s), m*(top-s)], which the remaining factors
+    can still bring back to zero; each kept count is exact, because the next
+    power's kept coefficients read only kept ones.  The counts reduce into
+    the field at the end: the integers map onto any prime field as a ring,
+    and MultiPoly drops the terms that vanish there.
     """
-    out: dict = {}
-    for e1, c1 in current.items():
-        for e2, c2 in base.items():
-            e = e1 + e2
-            if not lo <= e <= hi:
-                continue
-            c = c1 * c2
-            if e in out:
-                s = out[e] + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-            else:
-                out[e] = c
+    _check_power(top)
+    m, n = spec.m, spec.n
+    nvars = m + n + 1
+    current = {0: {(0,) * nvars: 1}}
+    out = []
+    for s in range(1, top + 1):
+        lo, hi = -n * (top - s), m * (top - s)
+        following: dict = {}
+        for e, counts in current.items():
+            for j in range(max(-m, lo - e), min(n, hi - e) + 1):
+                t = j + m
+                bucket = following.setdefault(e + j, {})
+                for u, c in counts.items():
+                    v = u[:t] + (u[t] + 1,) + u[t + 1:]
+                    bucket[v] = bucket.get(v, 0) + c
+        current = following
+        out.append(MultiPoly(current.get(0, {}), nvars, -m, spec.field))
     return out
-
-
-def constant_term_iterative(spec: LaurentSpec, i: int) -> MultiPoly:
-    """z^0 coefficient of the i-th power, by repeated convolution in z.
-
-    Exponents that cannot return to zero with the remaining factors are pruned.
-    """
-    _check_power(i)
-    base = spec.z_coefficients()
-    current = dict(base)
-    for step in range(2, i + 1):
-        # what is left must still be cancellable by i - step more factors
-        remaining = i - step
-        current = _times_base(current, base, -spec.n * remaining, spec.m * remaining)
-    if 0 in current:
-        return current[0]
-    return MultiPoly.zero(spec.m + spec.n + 1, -spec.m, spec.field)
 
 
 def weight_zero_exponents(m: int, n: int, degree: int, x0_free: bool = False):

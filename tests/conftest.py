@@ -7,6 +7,11 @@ from laurent_eulerian.deadline import NO_DEADLINE
 from laurent_eulerian.experiments import GenericFormSet
 
 
+def variable(j: int, nvars: int, offset: int, field) -> MultiPoly:
+    """x_j among the variables x_offset, ..., x_{offset+nvars-1}."""
+    return MultiPoly({tuple(int(t == j - offset) for t in range(nvars)): 1}, nvars, offset, field)
+
+
 def random_poly(rng: random.Random, nvars: int, offset: int, field,
                 max_terms: int = 4, max_exp: int = 3, coeff_range: int = 20) -> MultiPoly:
     terms = {}

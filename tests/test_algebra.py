@@ -13,14 +13,14 @@ from laurent_eulerian.algebra import (
     PrimeField,
     ZeroPolynomialError,
 )
-from conftest import random_poly
+from conftest import random_poly, variable
 
 
 F7 = PrimeField(7)
 
 
 def var(j, nvars=3, offset=-1, field=QQ):
-    return MultiPoly.variable(j, nvars, offset, field)
+    return variable(j, nvars, offset, field)
 
 
 class TestFields:
@@ -63,12 +63,12 @@ class TestPolyArithmetic:
 
     def test_multiply_by_zero(self):
         p = var(0) + var(1) * var(-1)
-        z = MultiPoly.zero(3, -1, QQ)
+        z = MultiPoly({}, 3, -1, QQ)
         assert (p * z).is_zero
 
     def test_field_mismatch_raises(self):
         p = var(0)
-        q = MultiPoly.variable(0, 3, -1, F7)
+        q = var(0, field=F7)
         with pytest.raises(FieldMismatchError):
             p + q
         with pytest.raises(FieldMismatchError):
@@ -97,12 +97,12 @@ class TestGradedDegree:
 
     def test_zero_poly_raises(self):
         with pytest.raises(ZeroPolynomialError):
-            MultiPoly.zero(3, -1, QQ).graded_degree()
+            MultiPoly({}, 3, -1, QQ).graded_degree()
 
     def test_degree_additive_on_products(self):
         rng = random.Random(7)
         for _ in range(50):
-            a = random_poly(rng, 3, -1, QQ, max_terms=1) + MultiPoly.zero(3, -1, QQ)
+            a = random_poly(rng, 3, -1, QQ, max_terms=1) + MultiPoly({}, 3, -1, QQ)
             b = random_poly(rng, 3, -1, QQ, max_terms=1)
             if a.is_zero or b.is_zero:
                 continue

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from laurent_eulerian import experiments
+from laurent_eulerian import experiments, laurent
 from laurent_eulerian.cli import main
 from laurent_eulerian.deadline import NO_DEADLINE
 from conftest import degenerate_seeds
@@ -67,6 +67,18 @@ class TestCommands:
         assert code == 0
         assert rep["agreement"] is True
         assert rep["inputs"]["field"] == "QQ"
+
+    def test_const_terms_compares_every_power(self, capsys, monkeypatch):
+        # a multinomial route wrong at power 1 only: ct(f^3) still agrees
+        real = laurent.constant_term_multinomial
+
+        def wrong_at_one(spec, i):
+            ct = real(spec, i)
+            return ct + ct if i == 1 else ct
+
+        monkeypatch.setattr(laurent, "constant_term_multinomial", wrong_at_one)
+        code, rep = run_json(capsys, ["const-terms", "--m", "1", "--n", "1", "--power", "3"])
+        assert code == 1 and rep["agreement"] is False
 
     def test_groebner(self, capsys):
         code, rep = run_json(capsys, ["groebner", "--m", "2", "--n", "2"])

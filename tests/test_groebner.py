@@ -29,11 +29,11 @@ from laurent_eulerian.groebner import (
     staircase_monomials,
 )
 from laurent_eulerian.laurent import LaurentSpec, constant_term_iterative
-from conftest import random_poly
+from conftest import random_poly, variable
 
 
 def v(j, nvars=2, offset=0, field=QQ):
-    return MultiPoly.variable(j, nvars, offset, field)
+    return variable(j, nvars, offset, field)
 
 
 class TestTermOrders:
@@ -212,9 +212,58 @@ class TestConstantTermIdeals:
     def test_dehomogenizing_keeps_every_term(self, m, n):
         # degree and weight fix the endpoint exponents, so no two terms merge
         gens = build_ideal(IdealSpec(m, n, max_power=m + n))
-        for i, g in enumerate(gens, start=1):
-            source = constant_term_iterative(LaurentSpec(m, n), i)
+        sources = constant_term_iterative(LaurentSpec(m, n), m + n)
+        for i, (g, source) in enumerate(zip(gens, sources, strict=True), start=1):
             assert len(g.terms) == len(source.terms), i
+
+    def test_one_pass_builds_every_generator(self, monkeypatch):
+        calls = []
+
+        def spy(spec, top):
+            calls.append(top)
+            return constant_term_iterative(spec, top)
+
+        monkeypatch.setattr(groebner, "constant_term_iterative", spy)
+        build_ideal(IdealSpec(3, 3, max_power=6))
+        assert calls == [6]
+
+    def test_build_ideal_memory(self):
+        # the pass keeps only the z-exponents the remaining factors can bring
+        # back to zero, and counts over the integers: a traced peak near
+        # 18 KB, where one field-coefficient convolution per power peaks near
+        # 91 KB.  The first call in a process also allocates the
+        # interpreter's one-time state for the code it runs (about 45 KB;
+        # 200 KB for the convolutions), and an earlier test may have paid it,
+        # so the traced call is the second.
+        spec = IdealSpec(3, 3, max_power=6)
+        build_ideal(spec)
+        tracemalloc.start()
+        try:
+            build_ideal(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_small_characteristic(self, p):
+        # over GF(p), f^p = sum_j x_j^p z^(jp), so ct(f^p) = x_0^p lies in
+        # (ct(f)); when p < m+n that leaves m+n-2 generators in m+n-1
+        # variables, and the ideal is the unit ideal or positive-dimensional
+        from laurent_eulerian.eulerian import eulerian
+
+        field = PrimeField(p)
+        for total in range(2, 7):
+            for m in range(1, total):
+                n = total - m
+                degree = ideal_quotient_dimension(m, n, field=field)
+                if p < total:
+                    assert degree == INFINITE, (m, n)
+                    x0 = {tuple(p * (t == m) for t in range(total + 1)): 1}
+                    ct = constant_term_iterative(LaurentSpec(m, n, field), p)[p - 1]
+                    assert ct == MultiPoly(x0, total + 1, -m, field), (m, n)
+                else:
+                    assert degree == eulerian(total - 1, m - 1), (m, n)
 
     def test_quotient_dims_match_eulerian(self):
         from laurent_eulerian.eulerian import eulerian
@@ -259,7 +308,7 @@ class TestConstantTermIdeals:
 
     def test_unit_check_memory(self):
         # the Gebauer-Moeller update queues few pairs and keeps no record of
-        # the pairs done: a traced peak near 330 KB, where queueing every
+        # the pairs done: a traced peak near 170 KB, where queueing every
         # pair and recording the done ones for the chain criterion peaks
         # near 1 MB
         tracemalloc.start()

@@ -8,6 +8,7 @@ from laurent_eulerian.laurent import (
     multinomial,
     weight_zero_exponents,
 )
+from conftest import variable
 
 
 def sym(m, n):
@@ -15,7 +16,7 @@ def sym(m, n):
 
 
 def x(j, m, n):
-    return MultiPoly.variable(j, m + n + 1, -m, QQ)
+    return variable(j, m + n + 1, -m, QQ)
 
 
 class TestSpecValidation:
@@ -32,13 +33,13 @@ class TestSpecValidation:
 
 class TestSymbolicConstantTerms:
     def test_first_power_is_x0(self):
-        assert constant_term_iterative(sym(1, 1), 1) == x(0, 1, 1)
+        assert constant_term_iterative(sym(1, 1), 1) == [x(0, 1, 1)]
 
     def test_square_by_hand(self):
         # (x_{-1} z^{-1} + x_0 + x_1 z)^2 has z^0 coefficient x_0^2 + 2 x_{-1} x_1
         cross = x(-1, 1, 1) * x(1, 1, 1)
         expected = x(0, 1, 1) * x(0, 1, 1) + cross + cross
-        assert constant_term_iterative(sym(1, 1), 2) == expected
+        assert constant_term_iterative(sym(1, 1), 2) == [x(0, 1, 1), expected]
         assert constant_term_multinomial(sym(1, 1), 2) == expected
 
     def test_single_weight_zero_monomial(self):
@@ -55,10 +56,9 @@ class TestSymbolicConstantTerms:
         for m in range(1, 6):
             for n in range(1, 7 - m):
                 spec = LaurentSpec(m, n, field)
-                for i in range(1, 9):
-                    a = constant_term_iterative(spec, i)
-                    b = constant_term_multinomial(spec, i)
-                    assert a == b, (m, n, i)
+                a = constant_term_iterative(spec, 8)
+                b = [constant_term_multinomial(spec, i) for i in range(1, 9)]
+                assert a == b, (m, n)
 
     def test_window_reversal_symmetry(self):
         # x_j -> x_{-j} maps the (m, n) constant term onto the (n, m) one
