@@ -17,6 +17,7 @@ budget holds on any thread and any OS.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -304,17 +305,47 @@ def _theorem_matrix(args, report):
     report["agreement"] = rep.agrees
 
 
+class _Subparser:
+    """A subcommand's parser, built the first time argparse reads from it.
+
+    `build_parser` keeps its parser for the life of the process.  With every
+    subcommand's parser built up front that is about 70 KB, which a run of
+    one subcommand would hold through its whole computation.  argparse lists
+    the subcommands and their help from `add_parser` alone, and reads a
+    subcommand's parser only to parse that subcommand's arguments.
+    """
+
+    def __init__(self, arguments, **kwargs):
+        self._arguments = arguments
+        self._kwargs = kwargs
+
+    @functools.cached_property
+    def _parser(self) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(**self._kwargs)
+        for flag, kwargs in self._arguments:
+            parser.add_argument(flag, **kwargs)
+        return parser
+
+    def __getattr__(self, name):
+        return getattr(self._parser, name)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after.
+
+    It depends only on `COMMANDS`, and `parse_args` leaves it unchanged, so
+    `main` may reuse it for each argv.  Each subcommand's own parser is built
+    on first use (`_Subparser`).
+    """
     ap = argparse.ArgumentParser(
         prog="laurent-eulerian",
         description="Exact constant-term, Groebner, Chow, and Eulerian computations",
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Subparser)
     for name, (help_text, arguments, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag, kwargs in arguments:
-            p.add_argument(flag, **kwargs)
+        sub.add_parser(name, help=help_text, arguments=arguments)
     return ap
 
 
@@ -330,9 +361,19 @@ def dispatch(args) -> dict:
 
 def main(argv=None) -> int:
     # answers are exact integers: print them in full, past Python's default
-    # 4300-digit limit on int-to-str conversion (<1600, 800> already has more)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # 4300-digit limit on int-to-str conversion (<1600, 800> already has more);
+    # the caller's limit comes back on the way out
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = dispatch(args)

@@ -1,9 +1,13 @@
+import argparse
+import contextlib
+import gc
 import json
+import sys
 import threading
 
 import pytest
 
-from laurent_eulerian import experiments, laurent
+from laurent_eulerian import cli, experiments, laurent
 from laurent_eulerian.cli import main
 from laurent_eulerian.deadline import NO_DEADLINE
 from conftest import degenerate_seeds
@@ -13,6 +17,33 @@ def run_json(capsys, argv):
     code = main(["--format", "json", *argv])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_captured(capsys, argv):
+    """Exit code, stdout and stderr of one main call, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default int-to-str digit limit during the test, the old one after.
+
+    None where Python has no such limit (before 3.10.7).
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestCommands:
@@ -26,12 +57,14 @@ class TestCommands:
         assert code == 0 and rep["result"] == 1
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_eulerian_past_the_str_digit_limit(self, capsys, fmt):
+    def test_eulerian_past_the_str_digit_limit(self, capsys, fmt, digit_limit):
         # <n,1> = 2^n - n - 1 has 4516 digits at n = 15000, past Python's
         # default limit of 4300 digits on int-to-str conversion
         code = main(["--format", fmt, "eulerian", "--n", "15000", "--k", "1"])
         out = capsys.readouterr().out
         assert code == 0
+        if digit_limit is not None:  # main lifts the limit only while it runs
+            sys.set_int_max_str_digits(0)
         assert str(2**15000 - 15001) in out
 
     def test_worpitzky(self, capsys):
@@ -385,3 +418,97 @@ class TestExitCodes:
     def test_json_schema_keys(self, capsys):
         _, rep = run_json(capsys, ["degree", "--m", "1", "--n", "2"])
         assert set(rep) == {"command", "inputs", "result", "agreement"}
+
+
+class TestSharedParser:
+    """`main` parses every argv with one parser, kept for the life of the process."""
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        # the top-level parser on the first call, and a subcommand's parser
+        # on the first call that names it; the top-level help needs none
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli.build_parser.cache_clear()
+        for argv in (["eulerian", "--n", "5", "--k", "2"], ["eulerian", "--n", "5", "--k", "2"],
+                     ["mobius", "--n", "30"], ["--help"], ["mobius", "--n", "6"]):
+            assert run_captured(capsys, argv)[0] == 0
+        assert built == ["laurent-eulerian", "laurent-eulerian eulerian",
+                         "laurent-eulerian mobius"]
+
+    def test_subcommand_parsers_built_on_first_use_parse_as_eager_ones(self, capsys):
+        # the reference builds every subcommand's parser up front
+        eager = argparse.ArgumentParser(prog="laurent-eulerian",
+                                        description=cli.build_parser().description)
+        eager.add_argument("--format", choices=("text", "json"), default="text")
+        sub = eager.add_subparsers(dest="command", required=True)
+        for name, (help_text, arguments, _) in cli.COMMANDS.items():
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
+
+        def parse(parser, argv):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        argvs = [["--help"], [], ["no-such-command"]]
+        for name, (_, arguments, _) in cli.COMMANDS.items():
+            argvs += [[name, "--help"], [name], [name, *[a for flag, _ in arguments
+                                                         for a in (flag, "2")]]]
+        cli.build_parser.cache_clear()
+        for argv in argvs:
+            assert parse(cli.build_parser(), argv) == parse(eager, argv), argv
+
+    @pytest.mark.parametrize("argv", [["eulerian", "--n", "5", "--k", "2"],
+                                      ["theorem-matrix", "--max-total", "4"]],
+                             ids=["eulerian", "theorem-matrix"])
+    def test_warm_call_leaves_little_cyclic_garbage(self, capsys, argv):
+        # the parser's objects hold reference cycles: a parser built per call
+        # left about 600 unreachable objects per call for the cyclic collector
+        main(argv)
+        gc.collect()
+        gc.disable()
+        try:
+            main(argv)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable < 50
+
+    ARGVS = [
+        ["degree", "--m", "2", "--n", "3", "--field", "32003"],
+        ["degree", "--m", "2", "--n", "3"],  # the --field default is QQ again
+        ["groebner", "--m", "1", "--n", "2", "--budget-seconds", "0"],
+        ["degree", "--m", "0", "--n", "2"],
+        ["eulerian", "--n", "x", "--k", "1"],
+        ["no-such-command"],
+        ["--help"],
+        ["degree", "--help"],
+    ]
+
+    def test_shared_parser_carries_no_state(self, capsys):
+        forwards = [run_captured(capsys, argv) for argv in self.ARGVS]
+        backwards = [run_captured(capsys, argv) for argv in reversed(self.ARGVS)]
+        assert forwards == backwards[::-1]
+        assert [code for code, _, _ in forwards] == [0, 0, 0, 2, 2, 2, 0, 0]
+        assert "field=GF(32003)" in forwards[0][1]
+        assert "field=QQ" in forwards[1][1]
+        assert "result: timeout" in forwards[2][1]
+
+    @pytest.mark.parametrize("argv", [["eulerian", "--n", "15000", "--k", "1"],
+                                      ["eulerian", "--n", "x", "--k", "1"]],
+                             ids=["answer", "usage-error"])
+    def test_main_restores_the_str_digit_limit(self, capsys, digit_limit, argv):
+        if digit_limit is None:
+            pytest.skip("this Python has no int-to-str digit limit")
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        assert sys.get_int_max_str_digits() == digit_limit
