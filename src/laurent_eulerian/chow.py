@@ -11,8 +11,8 @@ two-variable polynomial ring QQ[D_0, D_1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import QQ, ExactMatrix
 from .eulerian import _unipoly_mul, check_window_divisor, eulerian, gen_eulerian
@@ -120,8 +120,7 @@ def generic_ci_degree(m: int, n: int) -> Fraction:
     return ChowRing(m, n).generic_ci_degree()
 
 
-@dataclass(frozen=True)
-class SparseDegree:
+class SparseDegree(NamedTuple):
     """Degree of the sparse complete intersection; empty means the scheme is empty."""
 
     value: int

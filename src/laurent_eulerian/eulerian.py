@@ -6,8 +6,8 @@ import io
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 ORBIT_CAP = 11  # largest N whose circular permutations are enumerated
@@ -156,20 +156,21 @@ def divisors(n: int) -> list:
     return small + large
 
 
-@dataclass(frozen=True, order=True)
-class CircularPermutation:
-    """Cyclic arrangement of {0,...,N-1}, canonically rotated to start at 0."""
-
+class _CircularPermutation(NamedTuple):
     elements: tuple
 
-    def __post_init__(self):
-        elems = tuple(self.elements)
+
+class CircularPermutation(_CircularPermutation):
+    """Cyclic arrangement of {0,...,N-1}, canonically rotated to start at 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, elements):
+        elems = tuple(elements)
         if sorted(elems) != list(range(len(elems))):
             raise ValueError("elements must be a permutation of 0..N-1")
-        if elems[0] != 0:
-            z = elems.index(0)
-            elems = elems[z:] + elems[:z]
-        object.__setattr__(self, "elements", elems)
+        z = elems.index(0)
+        return super().__new__(cls, elems[z:] + elems[:z])
 
     def circular_ascents(self) -> int:
         e = self.elements
@@ -180,8 +181,7 @@ class CircularPermutation:
         return CircularPermutation(tuple((v + 1) % n for v in self.elements))
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(NamedTuple):
     N: int
     ascents: int
     # (orbit size, the orbits' minimum members packed N bytes each in

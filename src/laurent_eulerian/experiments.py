@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,13 +35,14 @@ def slice_monomials(m: int, n: int, j: int, deadline: Deadline = NO_DEADLINE) ->
     return tuple(monomials)
 
 
-@dataclass(frozen=True, eq=False)
-class GenericFormSet:
+class GenericFormSet(NamedTuple):
     """Seeded random forms g_1, g_2, ...; g_j is an int32 vector of coefficients
     over the x_0-free slice j, in slice_monomials order (arrays: no field-wise ==)."""
 
     seed: int
     forms: tuple
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @classmethod
     def generate(cls, seed: int, sizes, deadline: Deadline = NO_DEADLINE) -> "GenericFormSet":
@@ -58,8 +58,7 @@ class GenericFormSet:
         return cls(seed, tuple(forms))
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(NamedTuple):
     m: int
     n: int
     seed: int
@@ -300,8 +299,7 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     return result
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
+class DecompositionRow(NamedTuple):
     d: int
     gen_eulerian_value: int
     empty: bool
@@ -310,8 +308,7 @@ class DecompositionRow:
     orbit_agrees: Optional[bool]
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Per-divisor strata degrees summing to the Eulerian number."""
 
     m: int
@@ -346,8 +343,7 @@ def decomposition_report(m: int, n: int, orbit_cap: int = ORBIT_CAP) -> Decompos
     return DecompositionReport(m, n, tuple(rows), eulerian(N - 1, m - 1))
 
 
-@dataclass(frozen=True)
-class TheoremCell:
+class TheoremCell(NamedTuple):
     m: int
     n: int
     eulerian_value: int
@@ -370,8 +366,7 @@ class TheoremCell:
         return all(checks) if checks else None
 
 
-@dataclass(frozen=True)
-class TheoremMatrixReport:
+class TheoremMatrixReport(NamedTuple):
     max_total: int
     cells: tuple
 
@@ -414,7 +409,7 @@ def theorem_matrix(max_total: int,
                 try:
                     cell = degree_cell(m, n, deadline=deadline)
                     unit = conjecture_unit_check(m, n, deadline=deadline)
-                    cells.append(replace(cell, unit_ideal=unit))
+                    cells.append(cell._replace(unit_ideal=unit))
                     continue
                 except DeadlineExceeded:
                     expired = True

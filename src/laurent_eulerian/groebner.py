@@ -5,24 +5,27 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import QQ, FieldMismatchError, MultiPoly
 from .deadline import NO_DEADLINE, Deadline
 from .laurent import LaurentSpec, constant_term_iterative
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class _TermOrder(NamedTuple):
+    kind: str
+
+
+class TermOrder(_TermOrder):
     """Monomial order on exponent tuples, degrevlex or lex, with the variables
     in position order: x_{offset} > x_{offset+1} > ..."""
 
-    kind: str = "degrevlex"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("degrevlex", "lex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
+    def __new__(cls, kind: str = "degrevlex"):
+        if kind not in ("degrevlex", "lex"):
+            raise ValueError(f"unknown order kind {kind!r}")
+        return super().__new__(cls, kind)
 
     def key(self):
         """The order on exponent tuples as a sort key; Packing encodes it."""
@@ -399,22 +402,27 @@ def staircase_monomials(G: GroebnerBasis) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class IdealSpec:
-    """The constant-term ideal data: window, power range and field."""
-
+class _IdealSpec(NamedTuple):
     m: int
     n: int
-    max_power: Optional[int] = None  # default m+n-1; use m+n for the unit-ideal system
-    field: object = QQ
+    max_power: int
+    field: object
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+
+class IdealSpec(_IdealSpec):
+    """The constant-term ideal data: window, power range and field."""
+
+    __slots__ = ()
+
+    # max_power defaults to m+n-1; use m+n for the unit-ideal system
+    def __new__(cls, m: int, n: int, max_power: Optional[int] = None, field=QQ):
+        if m < 1 or n < 1:
             raise ValueError("m and n must be positive")
-        if self.max_power is None:
-            object.__setattr__(self, "max_power", self.m + self.n - 1)
-        if self.max_power < 1:
+        if max_power is None:
+            max_power = m + n - 1
+        if max_power < 1:
             raise ValueError("max_power must be positive")
+        return super().__new__(cls, m, n, max_power, field)
 
 
 def build_ideal(spec: IdealSpec) -> list:

@@ -13,22 +13,26 @@ power by formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import QQ, MultiPoly
 
 
-@dataclass(frozen=True)
-class LaurentSpec:
-    """The generic window Laurent polynomial on {-m, ..., n} over a field."""
-
+class _LaurentSpec(NamedTuple):
     m: int
     n: int
-    field: object = QQ
+    field: object
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+
+class LaurentSpec(_LaurentSpec):
+    """The generic window Laurent polynomial on {-m, ..., n} over a field."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int, field=QQ):
+        if m < 1 or n < 1:
             raise ValueError("window requires m >= 1 and n >= 1")
+        return super().__new__(cls, m, n, field)
 
 
 def _check_power(i: int):
@@ -77,31 +81,34 @@ def weight_zero_exponents(m: int, n: int, degree: int, x0_free: bool = False):
     Yields full (m+n+1)-tuples indexed by x_{-m}..x_n.
     """
     indices = [j for j in range(-m, n + 1) if j or not x0_free]
-    out_template = [0] * (m + n + 1)
+    yield from _weight_zero_rec(indices, [0] * (m + n + 1), m, 0, degree, 0)
 
-    def rec(pos: int, remaining: int, weight: int):
-        if pos == len(indices):
-            if remaining == 0 and weight == 0:
-                yield tuple(out_template)
-            return
-        j = indices[pos]
-        rest = indices[pos + 1 :]
-        lo = min(rest) if rest else 0
-        hi = max(rest) if rest else 0
-        for u in range(remaining, -1, -1):
-            w = weight + j * u
-            r = remaining - u
-            if pos + 1 == len(indices):
-                if r != 0:
-                    continue
-            # remaining factors contribute weight in [r*lo, r*hi]
-            if w + r * lo > 0 or w + r * hi < 0:
+
+def _weight_zero_rec(indices: list, out: list, m: int, pos: int, remaining: int,
+                     weight: int):
+    """weight_zero_exponents from position pos on, out holding the exponents
+    chosen before it; a module-level generator, so no call leaves a
+    self-referencing closure for the cyclic collector."""
+    if pos == len(indices):
+        if remaining == 0 and weight == 0:
+            yield tuple(out)
+        return
+    j = indices[pos]
+    rest = indices[pos + 1 :]
+    lo = min(rest) if rest else 0
+    hi = max(rest) if rest else 0
+    for u in range(remaining, -1, -1):
+        w = weight + j * u
+        r = remaining - u
+        if pos + 1 == len(indices):
+            if r != 0:
                 continue
-            out_template[j + m] = u
-            yield from rec(pos + 1, r, w)
-        out_template[j + m] = 0
-
-    yield from rec(0, degree, 0)
+        # remaining factors contribute weight in [r*lo, r*hi]
+        if w + r * lo > 0 or w + r * hi < 0:
+            continue
+        out[j + m] = u
+        yield from _weight_zero_rec(indices, out, m, pos + 1, r, w)
+    out[j + m] = 0
 
 
 def multinomial(i: int, exps) -> int:

@@ -96,6 +96,15 @@ class TestGenericForms:
         # depend on how many forms a slice bound needs
         assert _same_forms(GenericFormSet.generate(42, sizes[:2]).forms, a.forms[:2])
 
+    def test_equal_only_to_itself(self):
+        # the forms are arrays, which have no field-wise ==: two draws of one
+        # seed are equal only by identity, and comparing them never raises
+        sizes = _sizes(2, 2, 4)
+        a, b = GenericFormSet.generate(42, sizes), GenericFormSet.generate(42, sizes)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert len({a, b, a}) == 2
+
     def test_form_count_and_degrees(self):
         fs = GenericFormSet.generate(0, _sizes(2, 3, 5))
         assert len(fs.forms) == 5

@@ -36,6 +36,18 @@ def v(j, nvars=2, offset=0, field=QQ):
     return variable(j, nvars, offset, field)
 
 
+class TestIdealSpec:
+    def test_max_power_defaults_to_the_degree_ideal(self):
+        assert IdealSpec(2, 3).max_power == 4
+        assert IdealSpec(2, 3, max_power=5).max_power == 5
+
+    @pytest.mark.parametrize("args, kwargs", [((0, 2), {}), ((2, 0), {}),
+                                              ((1, 1), {"max_power": 0})])
+    def test_validation(self, args, kwargs):
+        with pytest.raises(ValueError):
+            IdealSpec(*args, **kwargs)
+
+
 class TestTermOrders:
     def test_lex_key(self):
         key = TermOrder("lex").key()
