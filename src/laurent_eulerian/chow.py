@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import QQ, ExactMatrix
-from .eulerian import _unipoly_mul, check_window_divisor, eulerian, gen_eulerian
+from .eulerian import _unipoly_mul, check_window, check_window_divisor, eulerian, gen_eulerian
 
 
 def ray_matrix(m: int, n: int) -> list:
@@ -57,8 +57,7 @@ class ChowRing:
     """Exact intersection calculus for the window (m, n); requires m+n > 2."""
 
     def __init__(self, m: int, n: int):
-        if m < 1 or n < 1:
-            raise ValueError("m and n must be positive")
+        check_window(m, n)
         if m + n <= 2:
             raise ValueError("the toric compactification requires m+n > 2")
         self.m = m

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -21,9 +22,7 @@ class GenEulerianDomainError(ValueError):
     """The step d does not divide k+1 (the generalized table is undefined there)."""
 
 
-_eulerian_memo: dict = {}
-
-
+@functools.cache
 def eulerian(n: int, k: int) -> int:
     """Number of permutations of {1,...,n} with exactly k ascents.
 
@@ -36,21 +35,16 @@ def eulerian(n: int, k: int) -> int:
         return 1 if k == 0 else 0
     if k < 0 or k > n - 1:
         return 0
-    key = (n, k)
-    v = _eulerian_memo.get(key)
-    if v is None:
-        # row by row from <1,0>; a cell of row r reaches (n, k) only through
-        # columns k-(n-r)..k, so only that band of one row is kept (every
-        # full row up to n = 1500 would hold about 1 GB of integers)
-        row = {0: 1}
-        for r in range(2, n + 1):
-            row = {
-                j: (j + 1) * row.get(j, 0) + (r - j) * row.get(j - 1, 0)
-                for j in range(max(0, k - (n - r)), min(k, r - 1) + 1)
-            }
-        v = row[k]
-        _eulerian_memo[key] = v
-    return v
+    # row by row from <1,0>; a cell of row r reaches (n, k) only through
+    # columns k-(n-r)..k, so only that band of one row is kept (every full
+    # row up to n = 1500 would hold about 1 GB of integers)
+    row = {0: 1}
+    for r in range(2, n + 1):
+        row = {
+            j: (j + 1) * row.get(j, 0) + (r - j) * row.get(j - 1, 0)
+            for j in range(max(0, k - (n - r)), min(k, r - 1) + 1)
+        }
+    return row[k]
 
 
 def ascents(seq) -> int:
@@ -95,9 +89,7 @@ def worpitzky_check(k: int) -> bool:
     return rhs == lhs
 
 
-_gen_memo: dict = {}
-
-
+@functools.cache
 def gen_eulerian(k: int, ell: int, d: int) -> int:
     """Generalized Eulerian number with step d, defined when d divides k+1.
 
@@ -112,24 +104,19 @@ def gen_eulerian(k: int, ell: int, d: int) -> int:
         raise GenEulerianDomainError(f"d = {d} does not divide k+1 = {k + 1}")
     if ell < 0 or ell > k:
         return 0
-    key = (k, ell, d)
-    v = _gen_memo.get(key)
-    if v is None:
-        # row by row from the base row d-1; a cell of row r reaches (k, ell)
-        # only through columns ell, ell-d, ..., ell-s*d with s <= (k-r)/d,
-        # so only those are kept
-        for r in range(d - 1, k + 1, d):
-            cols = range(max(ell - (k - r) // d * d, ell % d), min(ell, r) + 1, d)
-            if r == d - 1:
-                row = {c: 1 if math.gcd(c + 1, d) == 1 else 0 for c in cols}
-            else:
-                row = {
-                    c: (c + 1) * row.get(c, 0) + (r - c) * row.get(c - d, 0)
-                    for c in cols
-                }
-        v = row[ell]
-        _gen_memo[key] = v
-    return v
+    # row by row from the base row d-1; a cell of row r reaches (k, ell) only
+    # through columns ell, ell-d, ..., ell-s*d with s <= (k-r)/d, so only
+    # those are kept
+    for r in range(d - 1, k + 1, d):
+        cols = range(max(ell - (k - r) // d * d, ell % d), min(ell, r) + 1, d)
+        if r == d - 1:
+            row = {c: 1 if math.gcd(c + 1, d) == 1 else 0 for c in cols}
+        else:
+            row = {
+                c: (c + 1) * row.get(c, 0) + (r - c) * row.get(c - d, 0)
+                for c in cols
+            }
+    return row[ell]
 
 
 def mobius(n: int) -> int:
@@ -252,10 +239,15 @@ def orbit_decomposition(N: int, a: int, cap: int = ORBIT_CAP) -> OrbitDecomposit
     return OrbitDecomposition(N, a, buckets)
 
 
-def check_window_divisor(m: int, n: int, d: int):
-    """Raise ValueError unless m, n >= 1 and d is a positive divisor of m+n."""
+def check_window(m: int, n: int):
+    """Raise ValueError unless the window {-m, ..., n} has m, n >= 1."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+
+
+def check_window_divisor(m: int, n: int, d: int):
+    """Raise ValueError unless m, n >= 1 and d is a positive divisor of m+n."""
+    check_window(m, n)
     if d < 1:
         raise ValueError("d must be a positive integer")
     if (m + n) % d != 0:

@@ -12,7 +12,8 @@ import numpy as np
 from .algebra import QQ
 from .chow import generic_ci_degree, sparse_ci_degree
 from .deadline import NO_DEADLINE, Deadline, DeadlineExceeded
-from .eulerian import ORBIT_CAP, divisors, eulerian, deg_Z_circle, orbit_decomposition
+from .eulerian import (ORBIT_CAP, check_window, divisors, eulerian, deg_Z_circle,
+                       orbit_decomposition)
 from .groebner import conjecture_unit_check, ideal_quotient_dimension
 from .laurent import weight_zero_exponents
 
@@ -267,8 +268,7 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     drawn form, once per slice, and once per pivot column of every
     elimination.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    check_window(m, n)
     if j_max is None:
         j_max = default_j_max(m, n)
     # index[t] holds the keys of the x_0-free monomials of slice t; no

@@ -1,4 +1,11 @@
-"""Buchberger's algorithm, staircase dimension counts, and the constant-term ideals."""
+"""Buchberger's algorithm, staircase dimension counts, and the constant-term ideals.
+
+buchberger and normal_form run on packed monomials behind one boundary,
+_on_packing, which checks fields and windows, packs, widens the fields on
+overflow and unpacks.  One term update, _subtract, takes a multiple of a
+shifted element off a packed polynomial: each reduction step is one call,
+and each s-polynomial two.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +14,9 @@ import itertools
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import QQ, FieldMismatchError, MultiPoly
+from .algebra import QQ, MultiPoly
 from .deadline import NO_DEADLINE, Deadline
+from .eulerian import check_window
 from .laurent import LaurentSpec, constant_term_iterative
 
 
@@ -114,15 +122,26 @@ class Packing:
         return top
 
 
-def _on_packing(order: TermOrder, nvars: int, degree: int, run):
-    """run(packing) on fields wide enough for four times the degree, doubling
-    the width each time a monomial overflows."""
+def _on_packing(order: TermOrder, polys: Sequence[MultiPoly], run) -> list:
+    """The packed boundary: run(packing, packed) on the polynomials packed,
+    with fields wide enough for four times their largest degree and twice as
+    wide each time a monomial overflows.  run returns packed polynomials,
+    unpacked here over the polynomials' window and field, which must agree."""
+    first = polys[0]
+    for p in polys:
+        first._check_compatible(p)
+    degree = max(sum(e) for p in polys for e in p.terms)
     width = max(4 * degree, 1).bit_length()
     while True:
+        packing = Packing(order, first.nvars, width)
         try:
-            return run(Packing(order, nvars, width))
+            result = run(packing, [{packing.pack(e): c for e, c in p.terms.items()}
+                                   for p in polys])
+            break
         except ExponentOverflow:
             width *= 2
+    return [MultiPoly({packing.unpack(e): c for e, c in r.items()},
+                      first.nvars, first.offset, first.field) for r in result]
 
 
 def _make_primitive(terms: dict, field) -> dict:
@@ -150,13 +169,12 @@ class GroebnerBasis:
     leading monomials, which `leading` lists as exponent tuples."""
 
     def __init__(self, elements: Sequence[MultiPoly], leading: Sequence[tuple],
-                 order: TermOrder, nvars: int, offset: int, field):
+                 order: TermOrder):
         self.elements = list(elements)
         self.leading = list(leading)
         self.order = order
-        self.nvars = nvars
-        self.offset = offset
-        self.field = field
+        self.nvars = self.elements[0].nvars
+        self.field = self.elements[0].field
 
     def __len__(self):
         return len(self.elements)
@@ -177,6 +195,26 @@ def leading_term(p: MultiPoly, order: TermOrder):
     return e, p.terms[e]
 
 
+def _subtract(work: dict, element: tuple, shift: int, factor, field, guards: int) -> None:
+    """work -= factor x^shift tail(element), in place, for an _element; raises
+    ExponentOverflow if a shifted monomial does not fit the fields."""
+    _, _, tail, top = element
+    if (top + shift) & guards:
+        raise ExponentOverflow("a shifted element does not fit the fields")
+    sub, mul = field.sub, field.mul
+    for e, c in tail:
+        e += shift
+        v = mul(factor, c)
+        if e in work:
+            d = sub(work[e], v)
+            if d:
+                work[e] = d
+            else:
+                del work[e]
+        else:  # factor, c nonzero, so v is too
+            work[e] = field.neg(v)
+
+
 def _reduce(work: dict, reducers, field, guards: int,
             deadline: Deadline = NO_DEADLINE) -> dict:
     """Full normal form (tail reduction included) of the packed polynomial
@@ -186,30 +224,15 @@ def _reduce(work: dict, reducers, field, guards: int,
     A deadline is checked once per popped work term.
     """
     remainder = {}
-    sub, mul, div, neg = field.sub, field.mul, field.div, field.neg
     while work:
         deadline.check()
         e = max(work)
         c = work.pop(e)
-        for lm, lc, tail, top in reducers:
-            shift = e - lm
-            if shift & guards:
-                continue
-            if (top + shift) & guards:
-                raise ExponentOverflow("a reduction step does not fit the fields")
-            factor = div(c, lc)
-            for ge, gc in tail:
-                te = ge + shift
-                v = mul(factor, gc)
-                if te in work:
-                    s = sub(work[te], v)
-                    if s:
-                        work[te] = s
-                    else:
-                        del work[te]
-                else:  # factor, gc nonzero, so v is too
-                    work[te] = neg(v)
-            break
+        for h in reducers:
+            shift = e - h[0]
+            if not shift & guards:
+                _subtract(work, h, shift, field.div(c, h[1]), field, guards)
+                break
         else:
             remainder[e] = c
     return remainder
@@ -217,23 +240,11 @@ def _reduce(work: dict, reducers, field, guards: int,
 
 def normal_form(p: MultiPoly, G: GroebnerBasis) -> MultiPoly:
     """Remainder of p on division by G; zero iff p lies in the ideal of G."""
-    if p.field != G.field:
-        raise FieldMismatchError(f"polynomial over {p.field!r}, basis over {G.field!r}")
-    if (p.nvars, p.offset) != (G.nvars, G.offset):
-        raise ValueError("variable window mismatch")
-    if p.is_zero:
-        return p
+    def run(packing, packed):
+        reducers = [_element(g, packing) for g in packed[1:]]
+        return [_reduce(packed[0], reducers, p.field, packing.guards)]
 
-    def run(packing):
-        def packed(q):
-            return {packing.pack(e): c for e, c in q.terms.items()}
-
-        reducers = [_element(packed(g), packing) for g in G]
-        r = _reduce(packed(p), reducers, G.field, packing.guards)
-        return {packing.unpack(e): c for e, c in r.items()}
-
-    degree = max(sum(e) for q in (p, *G) for e in q.terms)
-    return MultiPoly(_on_packing(G.order, G.nvars, degree, run), p.nvars, p.offset, p.field)
+    return _on_packing(G.order, [p, *G], run)[0]
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
@@ -249,29 +260,16 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
 def _s_polynomial(f: tuple, g: tuple, lcm: int, field, guards: int) -> dict:
     """lc(g) (lcm / lm(f)) f - lc(f) (lcm / lm(g)) g for two _elements; the
     leading terms cancel and are left out."""
-    (lf, cf, tail_f, top_f), (lg, cg, tail_g, top_g) = f, g
-    shift_f, shift_g = lcm - lf, lcm - lg
-    if (top_f + shift_f) & guards or (top_g + shift_g) & guards:
-        raise ExponentOverflow("an s-polynomial does not fit the fields")
-    sub, mul = field.sub, field.mul
-    s = {e + shift_f: mul(cg, c) for e, c in tail_f}
-    for e, c in tail_g:
-        e += shift_g
-        v = mul(cf, c)
-        if e in s:
-            d = sub(s[e], v)
-            if d:
-                s[e] = d
-            else:
-                del s[e]
-        else:
-            s[e] = field.neg(v)
+    s = {}
+    _subtract(s, f, lcm - f[0], field.neg(g[1]), field, guards)
+    _subtract(s, g, lcm - g[0], f[1], field, guards)
     return s
 
 
-def _buchberger(gens: Sequence[dict], packing: Packing, field, deadline: Deadline) -> list:
-    """The reduced Groebner basis of the packed generators, as monic packed
-    polynomials in increasing leading-monomial order."""
+def _buchberger(gens: list, packing: Packing, field, deadline: Deadline) -> list:
+    """The reduced Groebner basis of the packed generators, which are
+    consumed, as monic packed polynomials in increasing leading-monomial
+    order."""
     guards = packing.guards
     elements = []  # every _element added, generators first
     active = []  # indices of the elements whose leading monomial no later one divides
@@ -305,8 +303,8 @@ def _buchberger(gens: Sequence[dict], packing: Packing, field, deadline: Deadlin
         active[:] = [i for i in active if (elements[i][0] - lm) & guards] + [t]
         reducers[:] = [elements[i] for i in active]
 
-    for g in gens:
-        add(_make_primitive(g, field))
+    while gens:  # a packed generator is freed once it has entered
+        add(_make_primitive(gens.pop(0), field))
     while pairs:
         deadline.check()
         _, lcm, i, j = heapq.heappop(pairs)
@@ -340,31 +338,20 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
     queued, and criterion B drops the old pairs it makes redundant.  Only
     the elements whose leading monomial no later element's divides serve as
     reducers.  The queue pops the pair of least lcm degree, then least lcm,
-    then least indices.  Fields start wide enough for four times the largest
-    generator degree and double, from the start, if a monomial overflows.
-    A deadline is checked once per popped pair, once per element
-    interreduced, and inside every reduction (see _reduce).
+    then least indices.  A deadline is checked once per popped pair, once
+    per element interreduced, and inside every reduction (see _reduce).
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         raise ValueError("need at least one nonzero generator")
-    nvars, offset, field = gens[0].nvars, gens[0].offset, gens[0].field
-    for g in gens:
-        if g.field != field:
-            raise FieldMismatchError("generators over mixed fields")
-        if (g.nvars, g.offset) != (nvars, offset):
-            raise ValueError("generators over mixed variable windows")
+    field = gens[0].field
 
-    def run(packing):
-        packed = [{packing.pack(e): c for e, c in g.terms.items()} for g in gens]
-        basis = _buchberger(packed, packing, field, deadline)
-        return ([MultiPoly({packing.unpack(e): c for e, c in b.items()}, nvars, offset, field)
-                 for b in basis],
-                [packing.unpack(max(b)) for b in basis])
+    def run(packing, packed):
+        return _buchberger(packed, packing, field, deadline)
 
-    degree = max(sum(e) for g in gens for e in g.terms)
-    elements, leading = _on_packing(order, nvars, degree, run)
-    return GroebnerBasis(elements, leading, order, nvars, offset, field)
+    elements = _on_packing(order, gens, run)
+    # each basis dict, and so each element, holds its leading monomial first
+    return GroebnerBasis(elements, [next(iter(g.terms)) for g in elements], order)
 
 
 INFINITE = "infinite"
@@ -416,8 +403,7 @@ class IdealSpec(_IdealSpec):
 
     # max_power defaults to m+n-1; use m+n for the unit-ideal system
     def __new__(cls, m: int, n: int, max_power: Optional[int] = None, field=QQ):
-        if m < 1 or n < 1:
-            raise ValueError("m and n must be positive")
+        check_window(m, n)
         if max_power is None:
             max_power = m + n - 1
         if max_power < 1:

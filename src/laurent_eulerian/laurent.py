@@ -16,6 +16,7 @@ import math
 from typing import NamedTuple
 
 from .algebra import QQ, MultiPoly
+from .eulerian import check_window
 
 
 class _LaurentSpec(NamedTuple):
@@ -30,8 +31,7 @@ class LaurentSpec(_LaurentSpec):
     __slots__ = ()
 
     def __new__(cls, m: int, n: int, field=QQ):
-        if m < 1 or n < 1:
-            raise ValueError("window requires m >= 1 and n >= 1")
+        check_window(m, n)
         return super().__new__(cls, m, n, field)
 
 

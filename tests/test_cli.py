@@ -354,6 +354,14 @@ class TestExitCodes:
                       "m and n must be positive", id="sparse-degree-m-0"),
          pytest.param(["hilbert-slices", "--m", "0", "--n", "2"],
                       "m and n must be positive", id="hilbert-slices-m-0"),
+         pytest.param(["const-terms", "--m", "0", "--n", "1", "--power", "1"],
+                      "m and n must be positive", id="const-terms-m-0"),
+         pytest.param(["groebner", "--m", "0", "--n", "2"],
+                      "m and n must be positive", id="groebner-m-0"),
+         pytest.param(["degree", "--m", "0", "--n", "2"],
+                      "m and n must be positive", id="degree-m-0"),
+         pytest.param(["chow-expand", "--m", "0", "--n", "3", "--k", "1"],
+                      "m and n must be positive", id="chow-expand-m-0"),
          pytest.param(["hilbert-slices", "--m", "-1", "--n", "2"],
                       "m and n must be positive", id="hilbert-slices-m--1"),
          pytest.param(["hilbert-slices", "--m", "7", "--n", "7"],

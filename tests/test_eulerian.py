@@ -96,6 +96,14 @@ class TestGeneralizedEulerian:
         assert gen_eulerian(3, -1, 2) == 0
         assert gen_eulerian(3, 4, 2) == 0
 
+    def test_bad_input_raises_on_every_call(self):
+        # the tables are memoized, their errors are not: bad input raises every time
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                eulerian(-1, 0)
+            with pytest.raises(GenEulerianDomainError):
+                gen_eulerian(4, 1, 2)
+
 
 class TestNumberTheoryHelpers:
     def test_mobius(self):

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 
 from laurent_eulerian import groebner
-from laurent_eulerian.algebra import QQ, MultiPoly, PrimeField
+from laurent_eulerian.algebra import QQ, FieldMismatchError, MultiPoly, PrimeField
 from laurent_eulerian.deadline import NO_DEADLINE, Deadline, DeadlineExceeded
 from laurent_eulerian.groebner import (
     INFINITE,
@@ -163,6 +163,19 @@ class TestBuchberger:
         assert G.leading == [(0, 70), (1, 0)]
         assert normal_form(x7, buchberger([v(0) - y10], lex)) == y70
 
+    def test_basis_takes_window_and_field_from_its_elements(self):
+        G = buchberger([v(1, 3, 0, PrimeField(7))])
+        assert (G.nvars, G.field, G.leading) == (3, PrimeField(7), [(0, 1, 0)])
+
+    def test_mixed_fields_are_refused(self):
+        with pytest.raises(FieldMismatchError):
+            buchberger([v(0), v(1, field=PrimeField(7))])
+
+    @pytest.mark.parametrize("nvars, offset", [(3, 0), (2, -1)], ids=["nvars", "offset"])
+    def test_mixed_windows_are_refused(self, nvars, offset):
+        with pytest.raises(ValueError):
+            buchberger([v(0), v(offset, nvars, offset)])
+
     def test_infinite_quotient(self):
         G = buchberger([v(0)])
         assert quotient_dimension(G) == INFINITE
@@ -202,6 +215,22 @@ class TestNormalForm:
             assert normal_form(r, G) == r
             # the difference is in the ideal
             assert normal_form(p - r, G).is_zero
+
+    def test_zero_stays_zero(self):
+        zero = MultiPoly({}, 2, 0, QQ)
+        assert normal_form(zero, buchberger([v(0) * v(1) - v(1)])) == zero
+
+    @pytest.mark.parametrize("zero", [True, False], ids=["zero", "nonzero"])
+    @pytest.mark.parametrize("nvars, offset, field, error", [
+        pytest.param(2, 0, PrimeField(7), FieldMismatchError, id="field"),
+        pytest.param(3, 0, QQ, ValueError, id="nvars"),
+        pytest.param(2, -1, QQ, ValueError, id="offset")])
+    def test_other_field_or_window_is_refused(self, zero, nvars, offset, field, error):
+        p = v(offset, nvars, offset, field)  # the first variable of that window
+        if zero:
+            p = p - p
+        with pytest.raises(error):
+            normal_form(p, buchberger([v(0) * v(1) - v(1)]))
 
     def test_linearity(self):
         rng = random.Random(17)
