@@ -4,14 +4,11 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error or bad input,
 3 an unexpected error (a bug; the traceback goes to stderr).
 
 Every `--budget-seconds` (groebner, degree, conjecture-check, hilbert-slices,
-theorem-matrix) is the same cooperative `Deadline`; without the option the
-run gets one that never expires.  It is checked between Buchberger pairs, at
-every popped term of a polynomial reduction, at every enumerated slice
-monomial, before each generic form, between Hilbert slices and at pivot
-columns.  A run that exceeds it reports ``result: timeout`` and exits 0;
+theorem-matrix) is the same cooperative `Deadline`, checked where the
+`deadline` module lists; without the option the run gets one that never
+expires.  A run that exceeds it reports ``result: timeout`` and exits 0;
 theorem-matrix instead marks the cell it cut and every later cell
-``status: timeout``.  Nothing interrupts the computation from outside, so the
-budget holds on any thread and any OS.
+``status: timeout``.
 """
 
 from __future__ import annotations
@@ -68,6 +65,8 @@ def _int_at_least(low: int):
 
 
 def _jsonable(v):
+    if isinstance(v, tuple) and hasattr(v, "_asdict"):  # a NamedTuple record
+        return _jsonable(v._asdict())
     if isinstance(v, Fraction):
         return str(v) if v.denominator != 1 else v.numerator
     if isinstance(v, (list, tuple)):
@@ -78,8 +77,9 @@ def _jsonable(v):
 
 
 def _emit(report: dict, fmt: str) -> int:
+    report = _jsonable(report)
     if fmt == "json":
-        print(json.dumps(_jsonable(report), indent=2, default=str))
+        print(json.dumps(report, indent=2, default=str))
     else:
         for key, value in report.items():
             if key == "command":
@@ -90,18 +90,20 @@ def _emit(report: dict, fmt: str) -> int:
 
 
 def _render_text(v):
+    """A _jsonable value as text: its containers are dicts and lists."""
     if isinstance(v, dict):
         return ", ".join(f"{k}={_render_text(x)}" for k, x in v.items())
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, list):
         return "[" + ", ".join(_render_text(x) for x in v) + "]"
     return str(v)
 
 
 # Subcommand name -> (help, arguments, run).  An argument is (flag, keyword
-# arguments of add_argument); run(args, report) fills the report after its
-# "command" key.  A run function calls the layer functions through module
-# globals or module attributes, looked up when it runs, so code that rebinds
-# those names (a tracer, a test's monkeypatch) reaches every subcommand.
+# arguments of add_argument); run(args, report) fills the report after the
+# "command" and "inputs" keys that dispatch writes.  A run function calls the
+# layer functions through module globals or module attributes, looked up when
+# it runs, so code that rebinds those names (a tracer, a test's monkeypatch)
+# reaches every subcommand.
 COMMANDS: dict = {}
 
 _INT = {"type": int, "required": True}
@@ -119,27 +121,22 @@ def _command(name: str, help_text: str, *arguments):
 
 @_command("eulerian", "Eulerian number <n, k>", ("--n", _INT), ("--k", _INT))
 def _eulerian(args, report):
-    report["inputs"] = {"n": args.n, "k": args.k}
     report["result"] = eulerian(args.n, args.k)
 
 
 @_command("gen-eulerian", "generalized Eulerian number with step d",
           ("--k", _INT), ("--l", _INT), ("--d", _INT))
 def _gen_eulerian(args, report):
-    report["inputs"] = {"k": args.k, "l": args.l, "d": args.d}
     report["result"] = gen_eulerian(args.k, args.l, args.d)
 
 
 @_command("worpitzky", "exact polynomial identity check", ("--k", _INT))
 def _worpitzky(args, report):
-    ok = worpitzky_check(args.k)
-    report["inputs"] = {"k": args.k}
-    report["result"] = report["agreement"] = ok
+    report["result"] = report["agreement"] = worpitzky_check(args.k)
 
 
 @_command("mobius", "classical Moebius function", ("--n", _INT))
 def _mobius(args, report):
-    report["inputs"] = {"n": args.n}
     report["result"] = mobius(args.n)
 
 
@@ -149,7 +146,6 @@ def _mobius(args, report):
 def _orbits(args, report):
     dec = orbit_decomposition(args.size, args.ascents, cap=args.cap)
     expected = eulerian(args.size - 1, args.ascents - 1)
-    report["inputs"] = {"size": args.size, "ascents": args.ascents}
     report["result"] = {
         "orbit_sizes": dec.sizes,
         "representatives": [" ".join(map(str, r.elements)) for r in dec.representatives],
@@ -165,12 +161,6 @@ def _const_terms(args, report):
     spec = LaurentSpec(args.m, args.n, field=args.field)
     a = laurent.constant_term_iterative(spec, args.power)
     b = [laurent.constant_term_multinomial(spec, i) for i in range(1, args.power + 1)]
-    report["inputs"] = {
-        "m": spec.m,
-        "n": spec.n,
-        "power": args.power,
-        "field": repr(spec.field),
-    }
     report["result"] = str(a[-1])
     report["agreement"] = a == b
 
@@ -181,34 +171,22 @@ def _const_terms(args, report):
           ("--max-power", {"type": int}), BUDGET)
 def _groebner(args, report):
     spec = gb.IdealSpec(args.m, args.n, max_power=args.max_power, field=args.field)
-    order = gb.TermOrder(args.order)
-    report["inputs"] = {
-        "m": args.m,
-        "n": args.n,
-        "order": args.order,
-        "field": repr(args.field),
-    }
-    basis = gb.groebner_of_ideal(spec, order, deadline=Deadline(args.budget_seconds))
+    basis = gb.groebner_of_ideal(spec, gb.TermOrder(args.order),
+                                 deadline=Deadline(args.budget_seconds))
     report["result"] = [str(g) for g in basis]
 
 
 @_command("degree", "ideal degree vs intersection number vs Eulerian",
           *WINDOW, FIELD, BUDGET)
 def _degree(args, report):
-    report["inputs"] = {"m": args.m, "n": args.n, "field": repr(args.field)}
     cell = experiments.degree_cell(args.m, args.n, field=args.field,
                                    deadline=Deadline(args.budget_seconds))
-    report["result"] = {
-        "groebner_degree": cell.groebner_degree,
-        "intersection_degree": cell.chow_degree,
-        "eulerian": cell.eulerian_value,
-    }
+    report["result"] = cell
     report["agreement"] = cell.agrees
 
 
 @_command("conjecture-check", "unit-ideal evidence for powers 1..m+n", *WINDOW, BUDGET)
 def _conjecture_check(args, report):
-    report["inputs"] = {"m": args.m, "n": args.n}
     report["note"] = "finite evidence only; the conjecture itself is open"
     value = gb.conjecture_unit_check(args.m, args.n, deadline=Deadline(args.budget_seconds))
     report["result"] = report["agreement"] = value
@@ -217,7 +195,6 @@ def _conjecture_check(args, report):
 @_command("chow-expand", "basis coordinates of k! D_0^k", *WINDOW, ("--k", _INT))
 def _chow_expand(args, report):
     coords = chow.ChowRing(args.m, args.n).d0_power_expansion(args.k)
-    report["inputs"] = {"m": args.m, "n": args.n, "k": args.k}
     report["result"] = {f"D_(-{i},{j})": v for (i, j), v in coords.items()}
     report["agreement"] = all(
         v == chow.expected_d0_coefficient(args.m, args.n, args.k, i)
@@ -229,7 +206,6 @@ def _chow_expand(args, report):
 def _ci_degree(args, report):
     v = chow.generic_ci_degree(args.m, args.n)
     ev = eulerian(args.m + args.n - 1, args.m - 1)
-    report["inputs"] = {"m": args.m, "n": args.n}
     report["result"] = v
     report["agreement"] = v == ev
 
@@ -238,7 +214,6 @@ def _ci_degree(args, report):
           *WINDOW, ("--d", _INT))
 def _sparse_degree(args, report):
     sd = chow.sparse_ci_degree(args.m, args.n, args.d)
-    report["inputs"] = {"m": args.m, "n": args.n, "d": args.d}
     report["result"] = "empty" if sd.empty else sd.value
 
 
@@ -246,21 +221,7 @@ def _sparse_degree(args, report):
           *WINDOW, ("--orbit-cap", {"type": int, "default": ORBIT_CAP}))
 def _decomposition(args, report):
     rep = experiments.decomposition_report(args.m, args.n, orbit_cap=args.orbit_cap)
-    report["inputs"] = {"m": args.m, "n": args.n}
-    report["result"] = {
-        "rows": [
-            {
-                "d": r.d,
-                "gen_eulerian": r.gen_eulerian_value,
-                "empty": r.empty,
-                "deg_circle": r.deg_circle,
-                "orbit_count": r.orbit_count,
-            }
-            for r in rep.rows
-        ],
-        "total": rep.total,
-        "expected": rep.expected_total,
-    }
+    report["result"] = {"rows": rep.rows, "total": rep.total, "expected": rep.expected_total}
     report["agreement"] = rep.agrees
 
 
@@ -268,17 +229,12 @@ def _decomposition(args, report):
           *WINDOW, ("--seed", {"type": int, "default": 0}),
           ("--j-max", {"type": _int_at_least(0)}), BUDGET)
 def _hilbert_slices(args, report):
-    report["inputs"] = {"m": args.m, "n": args.n, "j_max": args.j_max}
-    report["seed"] = args.seed
     value = experiments.graded_quotient_dims(
         args.m, args.n, seed=args.seed, j_max=args.j_max,
         deadline=Deadline(args.budget_seconds),
     )
-    report["result"] = {
-        "dims": list(value.dims),
-        "total": value.total,
-        "seeds_tried": list(value.seeds_tried),
-    }
+    report["result"] = {"dims": value.dims, "total": value.total,
+                        "seeds_tried": value.seeds_tried}
     # a profile cut below the top slice has no total to compare
     full = args.j_max is None or args.j_max >= experiments.default_j_max(args.m, args.n)
     ev = eulerian(args.m + args.n - 1, args.m - 1)
@@ -289,19 +245,7 @@ def _hilbert_slices(args, report):
           ("--max-total", {"type": _int_at_least(2), "required": True}), BUDGET)
 def _theorem_matrix(args, report):
     rep = experiments.theorem_matrix(args.max_total, Deadline(args.budget_seconds))
-    report["inputs"] = {"max_total": args.max_total}
-    report["result"] = [
-        {
-            "m": c.m,
-            "n": c.n,
-            "eulerian": c.eulerian_value,
-            "groebner_degree": c.groebner_degree,
-            "intersection_degree": c.chow_degree,
-            "unit_ideal": c.unit_ideal,
-            "status": "timeout" if c.timeout else "ok",
-        }
-        for c in rep.cells
-    ]
+    report["result"] = rep.cells
     report["agreement"] = rep.agrees
 
 
@@ -350,10 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args) -> dict:
-    """The subcommand's report; a run that outlives its budget reports a timeout."""
-    report = {"command": args.command}
+    """The subcommand's report, with every declared argument as parsed for
+    its inputs; a run that outlives its budget reports a timeout."""
+    _, arguments, run = COMMANDS[args.command]
+    dests = [flag[2:].replace("-", "_") for flag, _ in arguments]  # argparse's dest
+    report = {"command": args.command, "inputs": {d: getattr(args, d) for d in dests}}
     try:
-        COMMANDS[args.command][2](args, report)
+        run(args, report)
     except DeadlineExceeded:
         report["result"] = "timeout"
     return report

@@ -1,10 +1,20 @@
 """Cooperative wall-clock budgets for the long computations.
 
 A `Deadline` is passed explicitly (as `NO_DEADLINE`, which never expires, by
-default) to the loops that can run long; each checks it once per unit of work
-(a Buchberger pair, a popped term, a monomial, a Hilbert slice, a pivot
-column) and `DeadlineExceeded` unwinds the computation from there.  Nothing is
-interrupted asynchronously, so a budget holds on any thread and any platform.
+default) to the loops that can run long, and `DeadlineExceeded` unwinds the
+computation from the first check past it.  These are all the checks:
+
+- `groebner._buchberger`: each popped pair and each interreduced element;
+- `groebner._reduce`: each popped term of a polynomial reduction;
+- `experiments.slice_monomials`: before the first monomial and after each;
+- `experiments.GenericFormSet.generate`: before each form is drawn;
+- `experiments.graded_quotient_dims`: before each Hilbert slice;
+- `experiments._span_matrix`: each form's block of a slice span matrix;
+- `experiments._koszul_syzygies`: each pair's block of Koszul syzygy rows;
+- `experiments._rank_mod_p`: each pivot column of an elimination.
+
+Nothing is interrupted asynchronously, so a budget holds on any thread and any
+platform.
 """
 
 from __future__ import annotations

@@ -62,9 +62,13 @@ class GenericFormSet(NamedTuple):
 class GradedDims(NamedTuple):
     m: int
     n: int
-    seed: int
     seeds_tried: tuple
     dims: tuple
+
+    @property
+    def seed(self) -> int:
+        """The seed whose profile this is: the last one tried."""
+        return self.seeds_tried[-1]
 
     @property
     def total(self) -> Optional[int]:
@@ -293,7 +297,7 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
             deadline.check()
             rank = _exact_slice_rank(residues, index, j, deadline)
             dims.append(None if rank is None else len(index[j]) - rank)
-        result = GradedDims(m, n, s, tuple(tried), tuple(dims))
+        result = GradedDims(m, n, tuple(tried), tuple(dims))
         if result.total is not None and result.total <= bound:
             return result
     return result
@@ -301,7 +305,7 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
 
 class DecompositionRow(NamedTuple):
     d: int
-    gen_eulerian_value: int
+    gen_eulerian: int
     empty: bool
     deg_circle: int
     orbit_count: Optional[int]  # orbits of size (m+n)/d, when enumerated
@@ -346,21 +350,21 @@ def decomposition_report(m: int, n: int, orbit_cap: int = ORBIT_CAP) -> Decompos
 class TheoremCell(NamedTuple):
     m: int
     n: int
-    eulerian_value: int
+    eulerian: int
     groebner_degree: Optional[object]  # int, "infinite", or None if skipped
-    chow_degree: Optional[int]
+    intersection_degree: Optional[int]
     unit_ideal: Optional[bool]
-    timeout: bool = False
+    status: str = "ok"  # or "timeout": the deadline cut the cell
 
     @property
     def agrees(self) -> Optional[bool]:
-        if self.timeout:
+        if self.status == "timeout":
             return None
         checks = []
         if self.groebner_degree is not None:
-            checks.append(self.groebner_degree == self.eulerian_value)
-        if self.chow_degree is not None:
-            checks.append(self.chow_degree == self.eulerian_value)
+            checks.append(self.groebner_degree == self.eulerian)
+        if self.intersection_degree is not None:
+            checks.append(self.intersection_degree == self.eulerian)
         if self.unit_ideal is not None:
             checks.append(self.unit_ideal)
         return all(checks) if checks else None
@@ -414,5 +418,5 @@ def theorem_matrix(max_total: int,
                 except DeadlineExceeded:
                     expired = True
             ev = eulerian(total - 1, m - 1)
-            cells.append(TheoremCell(m, n, ev, None, None, None, timeout=True))
+            cells.append(TheoremCell(m, n, ev, None, None, None, status="timeout"))
     return TheoremMatrixReport(max_total, tuple(cells))

@@ -181,6 +181,12 @@ class TestExactRank:
         assert A.solve([1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
         assert ExactMatrix([[1, 1], [1, 1]], QQ).solve([0, 1]) is None
 
+    def test_ragged_rows_and_wrong_length_rhs_raise(self):
+        with pytest.raises(ValueError, match="ragged"):
+            ExactMatrix([[1, 2], [3]], QQ)
+        with pytest.raises(ValueError, match="wrong length"):
+            ExactMatrix([[1, 0], [0, 1]], QQ).solve([1])
+
     def test_solve_underdetermined_free_vars_zero(self):
         A = ExactMatrix([[1, 1, 0]], QQ)
         x = A.solve([5])

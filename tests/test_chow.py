@@ -96,6 +96,16 @@ class TestGradedReduction:
             coords = R.reduce_to_basis(_product(lo, hi), hi - lo)
             assert all(c == 0 for c in coords.values()), (lo, hi)
 
+    def test_wrong_number_of_coefficients_raises(self):
+        with pytest.raises(ValueError, match="k\\+1 homogeneous coefficients"):
+            ChowRing(2, 3).reduce_to_basis([1, 2], 2)
+
+    def test_d0_coefficient_outside_the_window_is_zero(self):
+        # i past m, j = k-i+1 past n, and i = 0; inside, the Eulerian number
+        assert [expected_d0_coefficient(2, 3, k, i) for k, i in ((4, 3), (5, 1), (2, 0))] == [
+            0, 0, 0]
+        assert expected_d0_coefficient(2, 3, 4, 2) == eulerian(4, 1) == 11
+
     def test_linearity(self):
         R = ChowRing(2, 3)
         k = 3

@@ -121,12 +121,18 @@ class TestCommands:
     def test_degree(self, capsys):
         code, rep = run_json(capsys, ["degree", "--m", "2", "--n", "3"])
         assert code == 0
-        assert rep["result"] == {
-            "groebner_degree": 11,
-            "intersection_degree": 11,
-            "eulerian": 11,
-        }
+        assert rep["result"] == {"m": 2, "n": 3, "eulerian": 11, "groebner_degree": 11,
+                                 "intersection_degree": 11, "unit_ideal": None,
+                                 "status": "ok"}
         assert rep["agreement"] is True
+
+    def test_degree_prints_a_theorem_matrix_row(self, capsys):
+        # the same cell, in the same shape; only the grid runs the unit check
+        _, degree = run_json(capsys, ["degree", "--m", "2", "--n", "3"])
+        _, grid = run_json(capsys, ["theorem-matrix", "--max-total", "5"])
+        row, = [c for c in grid["result"] if (c["m"], c["n"]) == (2, 3)]
+        assert list(degree["result"]) == list(row)
+        assert {**degree["result"], "unit_ideal": True} == row
 
     def test_field_spellings_agree(self, capsys):
         reports = [run_json(capsys, ["degree", "--m", "2", "--n", "3", "--field", f])
@@ -241,11 +247,9 @@ class TestCommands:
         monkeypatch.setattr(experiments, "degree_cell", cell)
         code, rep = run_json(capsys, ["degree", "--m", "2", "--n", "3"])
         assert code == 1
-        assert rep["result"] == {
-            "groebner_degree": "infinite",
-            "intersection_degree": 11,
-            "eulerian": 11,
-        }
+        assert rep["result"] == {"m": 2, "n": 3, "eulerian": 11,
+                                 "groebner_degree": "infinite", "intersection_degree": 11,
+                                 "unit_ideal": None, "status": "ok"}
         assert rep["agreement"] is False
 
     def test_theorem_matrix(self, capsys):
@@ -253,6 +257,67 @@ class TestCommands:
         assert code == 0
         assert rep["agreement"] is True
         assert {c["status"] for c in rep["result"]} == {"ok"}
+
+
+# one cheap argv per subcommand; some options given, some left to their default
+INPUT_ARGVS = {
+    "eulerian": ["--k", "1", "--n", "4"],
+    "gen-eulerian": ["--k", "5", "--l", "2", "--d", "2"],
+    "worpitzky": ["--k", "3"],
+    "mobius": ["--n", "30"],
+    "orbits": ["--size", "5", "--ascents", "2"],
+    "const-terms": ["--m", "1", "--n", "2", "--power", "2", "--field", "7"],
+    "groebner": ["--m", "1", "--n", "2", "--order", "lex", "--field", "32003"],
+    "degree": ["--m", "1", "--n", "2"],
+    "conjecture-check": ["--m", "1", "--n", "2"],
+    "chow-expand": ["--m", "2", "--n", "3", "--k", "2"],
+    "ci-degree": ["--m", "2", "--n", "2"],
+    "sparse-degree": ["--m", "2", "--n", "3", "--d", "5"],
+    "decomposition": ["--m", "2", "--n", "2", "--orbit-cap", "5"],
+    "hilbert-slices": ["--m", "2", "--n", "2", "--seed", "1"],
+    "theorem-matrix": ["--max-total", "3"],
+}
+BUDGETED = sorted(name for name, (_, arguments, _) in cli.COMMANDS.items()
+                  if "--budget-seconds" in dict(arguments))
+
+
+def declared_inputs(name, argv):
+    """(dest, value) of every argument the subcommand declares, in declaration
+    order, as a parser of those arguments alone parses argv; a field by its name."""
+    parser = argparse.ArgumentParser()
+    dests = [parser.add_argument(flag, **kwargs).dest
+             for flag, kwargs in cli.COMMANDS[name][1]]
+    parsed = vars(parser.parse_args(argv))
+    return [(d, repr(parsed[d]) if d == "field" else parsed[d]) for d in dests]
+
+
+class TestInputs:
+    """A report's inputs are the subcommand's declared arguments, as parsed."""
+
+    def test_every_subcommand_is_covered(self):
+        assert sorted(INPUT_ARGVS) == sorted(cli.COMMANDS)
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_inputs_are_the_declared_arguments(self, capsys, name):
+        argv = INPUT_ARGVS[name]
+        want = declared_inputs(name, argv)
+        _, rep = run_json(capsys, [name, *argv])
+        assert list(rep["inputs"].items()) == want
+        assert set(rep) <= {"command", "inputs", "note", "result", "agreement"}
+        main([name, *argv])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "inputs: " + ", ".join(f"{d}={v}" for d, v in want)
+
+    @pytest.mark.parametrize("name", BUDGETED)
+    def test_timeout_report_keeps_its_inputs(self, capsys, name):
+        argv = [*INPUT_ARGVS[name], "--budget-seconds", "0"]
+        _, rep = run_json(capsys, [name, *argv])
+        assert list(rep["inputs"].items()) == declared_inputs(name, argv)
+        assert rep["inputs"]["budget_seconds"] == 0
+        if name == "theorem-matrix":
+            assert {c["status"] for c in rep["result"]} == {"timeout"}
+        else:
+            assert rep["result"] == "timeout"
 
 
 class TestExitCodes:

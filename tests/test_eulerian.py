@@ -68,6 +68,15 @@ class TestEulerianNumbers:
         for k in range(1, 13):
             assert worpitzky_check(k)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: worpitzky_check(0), "k must be positive"),
+        (lambda: mobius(0), "n must be positive"),
+        (lambda: eulerian_bruteforce(-1, 0), "n must be a natural number"),
+    ], ids=["worpitzky-0", "mobius-0", "bruteforce--1"])
+    def test_bad_input_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestGeneralizedEulerian:
     def test_d1_matches_classical(self):
@@ -103,6 +112,10 @@ class TestGeneralizedEulerian:
                 eulerian(-1, 0)
             with pytest.raises(GenEulerianDomainError):
                 gen_eulerian(4, 1, 2)
+            with pytest.raises(ValueError, match="d must be a positive integer"):
+                gen_eulerian(3, 1, 0)
+            with pytest.raises(ValueError, match="k must be a natural number"):
+                gen_eulerian(-1, 0, 1)
 
 
 class TestNumberTheoryHelpers:

@@ -42,6 +42,10 @@ class TestSlices:
     def test_degree_zero_slice(self):
         assert slice_monomials(1, 1, 0) == ((0, 0, 0),)
 
+    def test_negative_degree_raises(self):
+        with pytest.raises(ValueError, match="natural number"):
+            slice_monomials(1, 1, -1)
+
     def test_degree_two_slice(self):
         # x_0^2 and x_{-1} x_1 for the symmetric window (1, 1); only the
         # second is free of x_0
@@ -729,14 +733,14 @@ class CountingDeadline:
 class TestDegreeCell:
     def test_three_routes_agree(self):
         cell = degree_cell(2, 3)
-        assert (cell.groebner_degree, cell.chow_degree, cell.eulerian_value) == (11, 11, 11)
-        assert cell.unit_ideal is None and not cell.timeout
+        assert (cell.groebner_degree, cell.intersection_degree, cell.eulerian) == (11, 11, 11)
+        assert cell.unit_ideal is None and cell.status == "ok"
         assert cell.agrees is True
 
     def test_smallest_window_has_no_intersection_number(self):
         cell = degree_cell(1, 1)
-        assert cell.chow_degree is None
-        assert cell.groebner_degree == cell.eulerian_value == 1
+        assert cell.intersection_degree is None
+        assert cell.groebner_degree == cell.eulerian == 1
 
     def test_field_reaches_the_groebner_degree(self, monkeypatch):
         seen = []
@@ -765,10 +769,10 @@ class TestTheoremMatrix:
         assert rep.agrees
         assert len(rep.cells) == sum(t - 1 for t in range(2, 6))
         for c in rep.cells:
-            assert c.groebner_degree == c.eulerian_value
+            assert c.groebner_degree == c.eulerian
             assert c.unit_ideal
             if c.m + c.n > 2:
-                assert c.chow_degree == c.eulerian_value
+                assert c.intersection_degree == c.eulerian
 
     @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
     def test_budget_must_be_finite_and_non_negative(self, budget):
@@ -778,7 +782,7 @@ class TestTheoremMatrix:
 
     def test_budget_produces_timeouts_not_failures(self):
         rep = theorem_matrix(6, Deadline(0.0))
-        assert all(c.timeout for c in rep.cells)
+        assert {c.status for c in rep.cells} == {"timeout"}
         # a grid that checked nothing neither agrees nor disagrees
         assert rep.agrees is None
 
@@ -790,12 +794,12 @@ class TestTheoremMatrix:
         theorem_matrix(5, counter)
         k = int(share * counter.calls)
         rep = theorem_matrix(5, ExpiresAfter(k))
-        status = [c.timeout for c in rep.cells]
-        cut = status.index(True)
-        assert 0 < cut and all(status[cut:])
+        status = [c.status for c in rep.cells]
+        cut = status.index("timeout")
+        assert 0 < cut and set(status[:cut]) == {"ok"} and set(status[cut:]) == {"timeout"}
         for c in rep.cells[:cut]:
             assert c.agrees is True and c.unit_ideal is True
         for c in rep.cells[cut:]:
-            assert (c.groebner_degree, c.chow_degree, c.unit_ideal) == (None, None, None)
-            assert c.eulerian_value == eulerian(c.m + c.n - 1, c.m - 1)
+            assert (c.groebner_degree, c.intersection_degree, c.unit_ideal) == (None, None, None)
+            assert c.eulerian == eulerian(c.m + c.n - 1, c.m - 1)
         assert rep.agrees

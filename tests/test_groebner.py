@@ -68,6 +68,8 @@ class TestTermOrders:
         p = v(0) * v(0) + v(1)
         e, c = leading_term(p, TermOrder("lex"))
         assert e == (2, 0) and c == 1
+        with pytest.raises(ValueError, match="zero polynomial"):
+            leading_term(p - p, TermOrder("lex"))
 
 
 def largest_field(kind, e):
@@ -142,6 +144,11 @@ class TestBuchberger:
         G = buchberger([v(0), v(1), one + v(0)])
         assert G.is_unit
         assert quotient_dimension(G) == 0
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_no_nonzero_generator_raises(self, count):
+        with pytest.raises(ValueError, match="nonzero generator"):
+            buchberger([v(0) - v(0)] * count)
 
     def test_principal_ideal(self):
         p = v(0) * v(0) * v(1) + v(1)

@@ -1,5 +1,6 @@
 """Static checks on the package source; no linter is installed, so these use ast."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -130,6 +131,26 @@ def test_one_budget_path():
     # budgeted loop checks unconditionally: no None stands in for a deadline
     found = {p.name: none_deadlines(p.read_text()) for p in MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def deadline_checkers(modules) -> set:
+    """'module.qualname' of every function that calls deadline.check()."""
+    found = set()
+    for path in modules:
+        for qualname, node in definitions(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(c, ast.Call) and ast.unparse(c.func) == "deadline.check"
+                    for c in ast.walk(node)):
+                found.add(f"{path.stem}.{qualname}")
+    return found
+
+
+def test_deadline_checks_are_listed():
+    # the deadline module's docstring is the one list of the places that
+    # check a budget; a check added or removed elsewhere must change it
+    from laurent_eulerian import deadline
+    listed = set(re.findall(r"^- `([\w.]+)`:", deadline.__doc__, re.M))
+    assert listed == deadline_checkers(MODULES)
 
 
 def definitions(tree) -> list:
@@ -367,6 +388,47 @@ def test_cli_import_surface():
     added = {name.split(".")[0] for name in out} - {PACKAGE.name}
     assert sorted(added - CLI_IMPORTS) == []
     assert "laurent_eulerian.cli" in out
+
+
+def command_faults(source: str, commands: dict) -> list:
+    """'run: fault' for each registered run function (commands maps its name
+    to its declared arguments) that writes report["inputs"], which dispatch
+    fills, or never reads args.<dest> for an argument it declares."""
+    runs = {node.name: node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name in commands}
+    found = []
+    for name, arguments in commands.items():
+        nodes = list(ast.walk(runs[name]))
+        if any(isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+               and ast.unparse(n) == "report['inputs']" for n in nodes):
+            found.append(f"{name}: writes inputs")
+        read = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        parser = argparse.ArgumentParser(add_help=False)
+        found += [f"{name}: never reads {dest}" for dest in
+                  (parser.add_argument(flag, **kwargs).dest for flag, kwargs in arguments)
+                  if dest not in read]
+    return found
+
+
+def test_command_fault_detector():
+    source = (
+        "def _a(args, report):\n"
+        "    report['inputs'] = {'m': args.m}\n"
+        "    report['result'] = args.m + args.budget_seconds\n"
+        "def _b(args, report):\n"
+        "    report['result'] = args.m\n"
+    )
+    commands = {"_a": [("--m", {}), ("--budget-seconds", {})],
+                "_b": [("--m", {}), ("--max-power", {})]}
+    assert command_faults(source, commands) == ["_a: writes inputs", "_b: never reads max_power"]
+
+
+def test_commands_read_every_argument_and_leave_inputs_to_dispatch():
+    # dispatch echoes every declared argument as an input, so an option the
+    # run never reads would be a knob that does nothing
+    commands = {run.__name__: arguments for _, arguments, run in cli.COMMANDS.values()}
+    assert command_faults(Path(cli.__file__).read_text(), commands) == []
 
 
 def test_test_imports_are_declared():
