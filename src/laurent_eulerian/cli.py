@@ -90,11 +90,13 @@ def _emit(report: dict, fmt: str) -> int:
 
 
 def _render_text(v):
-    """A _jsonable value as text: its containers are dicts and lists."""
+    """A _jsonable value as text: its containers are dicts and lists, and each
+    record of a list is set off in braces."""
     if isinstance(v, dict):
         return ", ".join(f"{k}={_render_text(x)}" for k, x in v.items())
     if isinstance(v, list):
-        return "[" + ", ".join(_render_text(x) for x in v) + "]"
+        return "[" + ", ".join("{%s}" % _render_text(x) if isinstance(x, dict)
+                               else _render_text(x) for x in v) + "]"
     return str(v)
 
 

@@ -4,7 +4,8 @@ buchberger and normal_form run on packed monomials behind one boundary,
 _on_packing, which checks fields and windows, packs, widens the fields on
 overflow and unpacks.  One term update, _subtract, takes a multiple of a
 shifted element off a packed polynomial: each reduction step is one call,
-and each s-polynomial two.
+and each s-polynomial two.  Every element of a basis, generator or
+s-polynomial remainder, enters fully reduced and primitive.
 """
 
 from __future__ import annotations
@@ -271,9 +272,8 @@ def _buchberger(gens: list, packing: Packing, field, deadline: Deadline) -> list
     consumed, as monic packed polynomials in increasing leading-monomial
     order."""
     guards = packing.guards
-    elements = []  # every _element added, generators first
+    elements = []  # every _element added, the generators' remainders first
     active = []  # indices of the elements whose leading monomial no later one divides
-    reducers = []  # the active elements
     pairs = []  # heap of (degree of the lcm, lcm, i, j), i < j
 
     def add(terms: dict) -> None:
@@ -301,29 +301,26 @@ def _buchberger(gens: list, packing: Packing, field, deadline: Deadline) -> list
                     heapq.heappush(pairs, (sum(packing.unpack(lcm)), lcm, i, t))
         elements.append(h)
         active[:] = [i for i in active if (elements[i][0] - lm) & guards] + [t]
-        reducers[:] = [elements[i] for i in active]
 
-    while gens:  # a packed generator is freed once it has entered
-        add(_make_primitive(gens.pop(0), field))
-    while pairs:
-        deadline.check()
-        _, lcm, i, j = heapq.heappop(pairs)
-        s = _s_polynomial(elements[i], elements[j], lcm, field, guards)
-        r = _reduce(s, reducers, field, guards, deadline)
+    def enter(work: dict) -> None:
+        """Add work's remainder by the active elements, made primitive, unless zero."""
+        r = _reduce(work, [elements[i] for i in active], field, guards, deadline)
         if r:
             add(_make_primitive(r, field))
 
-    # minimalize: a generator's leading monomial can be a multiple of an
-    # earlier one's; no two active leading monomials are equal
-    lms = {i: elements[i][0] for i in active}
-    keep = [i for i in active
-            if all(k == i or (lms[i] - lms[k]) & guards for k in active)]
-    # interreduce tails and make monic; no kept leading monomial divides another
+    while gens:  # a packed generator is freed once it has entered
+        enter(gens.pop(0))
+    while pairs:
+        deadline.check()
+        _, lcm, i, j = heapq.heappop(pairs)
+        enter(_s_polynomial(elements[i], elements[j], lcm, field, guards))
+
+    # interreduce and make monic; no active leading monomial divides another
     basis = []
-    for i in sorted(keep, key=lms.get):
+    for i in sorted(active, key=lambda i: elements[i][0]):
         deadline.check()
         lm, lc, tail, _ = elements[i]
-        r = _reduce(dict(tail), [elements[k] for k in keep if k != i], field, guards, deadline)
+        r = _reduce(dict(tail), [elements[k] for k in active if k != i], field, guards, deadline)
         inv = field.inv(lc)
         basis.append({lm: field.one, **{e: field.mul(c, inv) for e, c in r.items()}})
     return basis
@@ -333,13 +330,13 @@ def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
                deadline: Deadline = NO_DEADLINE) -> GroebnerBasis:
     """Reduced Groebner basis by Buchberger's algorithm on packed monomials.
 
-    Each new element enters by the Gebauer-Moeller update: of its pairs, only
-    those that survive criteria M and F and the product criterion are
-    queued, and criterion B drops the old pairs it makes redundant.  Only
-    the elements whose leading monomial no later element's divides serve as
-    reducers.  The queue pops the pair of least lcm degree, then least lcm,
-    then least indices.  A deadline is checked once per popped pair, once
-    per element interreduced, and inside every reduction (see _reduce).
+    Every element, generator or s-polynomial remainder, enters fully reduced
+    and primitive by the Gebauer-Moeller update: only its pairs that survive
+    criteria M and F and the product criterion are queued, and criterion B
+    drops the old pairs it makes redundant.  The reducers, the elements whose
+    leading monomial no later one's divides, are the basis once interreduced.
+    Pairs pop by least lcm degree, then lcm, then indices.  A deadline is
+    checked per popped pair, per element interreduced, and in every reduction.
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:

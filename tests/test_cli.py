@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import gc
 import json
+import re
 import sys
 import threading
 
@@ -180,6 +181,21 @@ class TestCommands:
         assert {r["d"]: r["deg_circle"] for r in rows} == {1: 155960, 2: 230, 5: 0, 10: 0}
         assert rep["result"]["total"] == rep["result"]["expected"] == 156190
         assert rep["agreement"] is True
+
+    @pytest.mark.parametrize("argv, records", [
+        (["theorem-matrix", "--max-total", "3"], lambda result: result),
+        (["decomposition", "--m", "2", "--n", "2"], lambda result: result["rows"]),
+    ], ids=["theorem-matrix", "decomposition"])
+    def test_text_sets_each_record_off(self, capsys, argv, records):
+        # a list of records prints each record in braces, field for field as in json
+        _, rep = run_json(capsys, argv)
+        assert main(["--format", "text", *argv]) == 0
+        result = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("result: "))
+        cells = re.findall(r"\{([^{}]*)\}", result)
+        assert len(cells) == 3
+        assert cells == [", ".join(f"{k}={v}" for k, v in record.items())
+                         for record in records(rep["result"])]
 
     def test_hilbert_slices(self, capsys):
         code, rep = run_json(

@@ -467,6 +467,25 @@ SYMPY_WINDOWS = [
 ]
 
 
+def _entry_cases(field) -> dict:
+    """Generator lists in x > y > z, each with a redundant generator: one whose
+    leading monomial is a multiple of an earlier one's, a duplicate, one in
+    the ideal of the others, a zero one.  In both orders lm(p) = x^2 y,
+    lm(q) = x y^2 and lm(r) = x^3 y^2."""
+    def poly(terms):
+        return MultiPoly(terms, 3, 0, field)
+
+    p = poly({(2, 1, 0): 1, (0, 0, 2): -1})
+    q = poly({(1, 2, 0): Fraction(1, 2), (0, 0, 1): -1})
+    r = poly({(3, 2, 0): 3, (0, 1, 1): 1, (1, 0, 0): -2})
+    return {
+        "lm-multiple": [p, r, q],
+        "duplicate": [p, q, p],
+        "in-ideal": [p, q, poly({(1, 0, 0): 1}) * p - poly({(0, 1, 0): 3}) * q],
+        "zero": [p, p - p, q],
+    }
+
+
 class TestAgainstSympy:
     """Reduced Groebner bases are unique, so ours must equal sympy's up to scaling."""
 
@@ -476,6 +495,17 @@ class TestAgainstSympy:
             spec = IdealSpec(m, n, max_power=max_power, field=field)
             G = groebner_of_ideal(spec, TermOrder(kind))
             assert _our_basis(G) == _sympy_basis(build_ideal(spec), kind, field), max_power
+
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+    @pytest.mark.parametrize("case", sorted(_entry_cases(QQ)))
+    def test_generators_enter_reduced(self, case, field, kind):
+        # every generator enters as its remainder by the basis so far, so
+        # neither the order nor a redundant generator changes the basis
+        gens = _entry_cases(field)[case]
+        expected = _sympy_basis(gens, kind, field)
+        for ordered in (gens, gens[::-1]):
+            assert _our_basis(buchberger(ordered, TermOrder(kind))) == expected, ordered
 
     @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
     def test_random_small_ideals(self, kind):

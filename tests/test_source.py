@@ -76,6 +76,16 @@ def test_one_clock():
     assert readers == ["deadline.py"]
 
 
+def test_one_entry_into_the_basis():
+    # generators and s-polynomial remainders enter the basis by one step, so
+    # a change to how an element enters is made in one place
+    tree = ast.parse((PACKAGE / "groebner.py").read_text())
+    body = dict(definitions(tree))["_buchberger"]
+    adds = [node for node in ast.walk(body)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "add"]
+    assert len(adds) == 1
+
+
 def none_deadlines(source: str) -> list:
     """'line: code' for each deadline parameter that defaults to anything but
     NO_DEADLINE, and each comparison or conditional that pairs a deadline
