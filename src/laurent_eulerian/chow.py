@@ -63,10 +63,13 @@ class ChowRing:
         self.m = m
         self.n = n
 
-    def basis_pairs(self, k: int) -> list:
-        """Index pairs (i, j) of the codimension-k basis classes, i+j-1 = k."""
+    def _check_codimension(self, k: int) -> None:
         if not 1 <= k <= self.m + self.n - 1:
             raise ValueError(f"codimension {k} outside [1, {self.m + self.n - 1}]")
+
+    def basis_pairs(self, k: int) -> list:
+        """Index pairs (i, j) of the codimension-k basis classes, i+j-1 = k."""
+        self._check_codimension(k)
         return [
             (i, k + 1 - i)
             for i in range(1, self.m + 1)
@@ -105,6 +108,7 @@ class ChowRing:
 
     def d0_power_expansion(self, k: int) -> dict:
         """Coordinates of k! * D_0^k; equals the windowed Eulerian coefficients."""
+        self._check_codimension(k)  # before k! can fail on a negative k
         coeffs = [Fraction(0)] * (k + 1)
         coeffs[0] = Fraction(math.factorial(k))
         return self.reduce_to_basis(coeffs, k)

@@ -6,7 +6,8 @@ computation from the first check past it.  These are all the checks:
 
 - `groebner._buchberger`: each popped pair and each interreduced element;
 - `groebner._reduce`: each popped term of a polynomial reduction;
-- `experiments.slice_monomials`: before the first monomial and after each;
+- `laurent.weight_zero_numerals`: before the first monomial of a walk;
+- `laurent._weight_zero_walk`: after each monomial;
 - `experiments.GenericFormSet.generate`: before each form is drawn;
 - `experiments.graded_quotient_dims`: before each Hilbert slice;
 - `experiments._span_matrix`: each form's block of a slice span matrix;

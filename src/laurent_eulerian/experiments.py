@@ -15,7 +15,7 @@ from .deadline import NO_DEADLINE, Deadline, DeadlineExceeded
 from .eulerian import (ORBIT_CAP, check_window, divisors, eulerian, deg_Z_circle,
                        orbit_decomposition)
 from .groebner import conjecture_unit_check, ideal_quotient_dimension
-from .laurent import weight_zero_exponents
+from .laurent import weight_zero_numerals
 
 # generic form coefficients are drawn uniformly from [-_COEFF_BOUND, _COEFF_BOUND]
 _COEFF_BOUND = 10**6
@@ -23,22 +23,29 @@ _COEFF_BOUND = 10**6
 _MAX_SEEDS = 5
 
 
-def slice_monomials(m: int, n: int, j: int, deadline: Deadline = NO_DEADLINE) -> tuple:
-    """The x_0-free monomials of bidegree (j, 0), in lexicographic order; a
-    deadline is checked before the first and after each one."""
+def slice_monomials(m: int, n: int, j: int, base: int,
+                    deadline: Deadline = NO_DEADLINE) -> np.ndarray:
+    """Keys of the x_0-free monomials of bidegree (j, 0), ascending; a deadline
+    is checked before the first monomial and after each one.
+
+    The key of u is minus u read as a base-`base` numeral (weight_zero_numerals),
+    so keys increase along the descending lex order of the monomials, and
+    key(u + v) = key(u) + key(v) while every entry of u + v stays below base.
+    The caller keeps every exponent below base (base > j does) and
+    base**(m+n+1) within 2**63 (see graded_quotient_dims), so no key leaves
+    int64.
+    """
+    check_window(m, n)
     if j < 0:
         raise ValueError("degree must be a natural number")
-    deadline.check()
-    monomials = []
-    for u in weight_zero_exponents(m, n, j, x0_free=True):
-        monomials.append(u)
-        deadline.check()
-    return tuple(monomials)
+    keys = np.array(weight_zero_numerals(m, n, j, base, True, deadline), dtype=np.int64)
+    return np.negative(keys, out=keys)
 
 
 class GenericFormSet(NamedTuple):
     """Seeded random forms g_1, g_2, ...; g_j is an int32 vector of coefficients
-    over the x_0-free slice j, in slice_monomials order (arrays: no field-wise ==)."""
+    over the x_0-free slice j, in the ascending order of its slice_monomials
+    keys (arrays: no field-wise ==)."""
 
     seed: int
     forms: tuple
@@ -82,21 +89,6 @@ def default_j_max(m: int, n: int) -> int:
 
 # the largest prime below 2**15, the bound _rank_mod_p requires
 _RANK_PRIME = 32749
-
-
-def _slice_keys(monomials, base: int) -> np.ndarray:
-    """Integer keys of exponent vectors whose entries all lie below base.
-
-    The key of u is minus u read as a base-`base` numeral, so keys increase
-    along the descending lex order of slice_monomials, and key(u + v) =
-    key(u) + key(v) while every entry of u + v stays below base.  The caller
-    keeps base**nvars within 2**63 (see graded_quotient_dims), so no key
-    leaves int64.
-    """
-    if not monomials:
-        return np.zeros(0, dtype=np.int64)
-    E = np.array(monomials, dtype=np.int64)
-    return -(E @ base ** np.arange(E.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 def _rank_mod_p(A: np.ndarray, p: int, deadline: Deadline = NO_DEADLINE) -> np.ndarray:
@@ -158,7 +150,7 @@ def _form_degrees(forms, j: int) -> range:
 
 def _positions(index, a: int, b: int) -> np.ndarray:
     """Position in slice a+b of q*u, for q in slice a (rows) and u in slice b;
-    index[t] holds the _slice_keys of slice t."""
+    index[t] holds the slice_monomials keys of slice t."""
     return np.searchsorted(index[a + b], index[a][:, None] + index[b])
 
 
@@ -166,7 +158,7 @@ def _span_matrix(forms, index, j: int, deadline: Deadline = NO_DEADLINE) -> np.n
     """Span matrix of slice j: row (i, t) holds q*g_i for i >= 2 (see
     _form_degrees) and the t-th monomial q of slice j-i, rows ordered by i
     then t, columns indexed by slice j in ascending lex order (column
-    ncols-1-s holds the s-th monomial of slice_monomials).  The rank does not
+    ncols-1-s holds the s-th key of slice_monomials).  The rank does not
     depend on the column order, and ascending lex order keeps the fill of
     _rank_mod_p low: about half the entry updates of descending order at (3,3),
     a quarter at (3,4).
@@ -284,7 +276,7 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     bound = eulerian(m + n - 1, m - 1)
     tried = []
     result = None
-    index = [_slice_keys(slice_monomials(m, n, t, deadline), base) for t in range(j_max + 1)]
+    index = [slice_monomials(m, n, t, base, deadline) for t in range(j_max + 1)]
     # only g_1'..g_{j_max}' reach slices 0..j_max
     sizes = [len(keys) for keys in index[1 : min(m + n, j_max) + 1]]
     for attempt in range(_MAX_SEEDS):

@@ -16,6 +16,7 @@ import math
 from typing import NamedTuple
 
 from .algebra import QQ, MultiPoly
+from .deadline import NO_DEADLINE, Deadline
 from .eulerian import check_window
 
 
@@ -72,43 +73,64 @@ def constant_term_iterative(spec: LaurentSpec, top: int) -> list:
     return out
 
 
-def weight_zero_exponents(m: int, n: int, degree: int, x0_free: bool = False):
+def weight_zero_exponents(m: int, n: int, degree: int):
     """Exponent vectors u on {-m, ..., n} with |u| = degree and sum_j j*u_j = 0,
-    only those with u_0 = 0 when x0_free.
+    as full (m+n+1)-tuples indexed by x_{-m}..x_n, in descending lex order:
+    the digits of weight_zero_numerals in base degree + 1, above every
+    exponent."""
+    base, nvars = degree + 1, m + n + 1
+    for numeral in weight_zero_numerals(m, n, degree, base, False):
+        u = [0] * nvars
+        for t in range(nvars - 1, -1, -1):
+            numeral, u[t] = divmod(numeral, base)
+        yield tuple(u)
 
-    Deterministic lexicographic enumeration (by exponent of x_{-m}, then
-    x_{-m+1}, ...) with branch-and-bound pruning on the achievable weight.
-    Yields full (m+n+1)-tuples indexed by x_{-m}..x_n.
+
+def weight_zero_numerals(m: int, n: int, degree: int, base: int, x0_free: bool,
+                         deadline: Deadline = NO_DEADLINE) -> list:
+    """The exponent vectors u on {-m, ..., n} with |u| = degree and
+    sum_j j*u_j = 0, only those with u_0 = 0 when x0_free, each as the
+    base-`base` numeral sum_j u_j * base**(n-j), in descending lex order of u;
+    a deadline is checked before the first and after each.
+
+    The numerals keep their digits, and descend with u, while every exponent
+    stays below base.  The walk goes position by position, x_{-m} first,
+    prunes on the remaining degree and weight, and builds no vector: each
+    monomial is one int in one list.
     """
     indices = [j for j in range(-m, n + 1) if j or not x0_free]
-    yield from _weight_zero_rec(indices, [0] * (m + n + 1), m, 0, degree, 0)
+    places = [base ** (n - j) for j in indices]
+    out = []
+    deadline.check()
+    _weight_zero_walk(indices, places, 0, degree, 0, 0, out, deadline)
+    return out
 
 
-def _weight_zero_rec(indices: list, out: list, m: int, pos: int, remaining: int,
-                     weight: int):
-    """weight_zero_exponents from position pos on, out holding the exponents
-    chosen before it; a module-level generator, so no call leaves a
-    self-referencing closure for the cyclic collector."""
-    if pos == len(indices):
-        if remaining == 0 and weight == 0:
-            yield tuple(out)
+def _weight_zero_walk(indices: list, places: list, pos: int, remaining: int, weight: int,
+                      numeral: int, out: list, deadline: Deadline) -> None:
+    """weight_zero_numerals from position pos on; numeral holds the digits
+    chosen before pos, weight their weight, remaining the degree they leave.
+
+    Exponents u at pos are tried in descending order.  After u, with weight w
+    and r degrees left, the later positions (weights in [lo, hi], since the
+    indices ascend) reach a total weight in [w + r*lo, w + r*hi], which must
+    hold zero; both bounds are linear in u, so the u worth trying form one
+    range, from top down to bottom.
+    """
+    j, lo, hi = indices[pos], indices[pos + 1], indices[-1]
+    top = min(remaining, (weight + remaining * hi) // (hi - j))
+    bottom = max(0, -((weight + remaining * lo) // (j - lo)))
+    place = places[pos]
+    if pos + 2 == len(indices):
+        # the last position takes the remaining degree (here lo = hi, so
+        # the range holds at most one u)
+        for u in range(top, bottom - 1, -1):
+            out.append(numeral + u * place + (remaining - u) * places[-1])
+            deadline.check()
         return
-    j = indices[pos]
-    rest = indices[pos + 1 :]
-    lo = min(rest) if rest else 0
-    hi = max(rest) if rest else 0
-    for u in range(remaining, -1, -1):
-        w = weight + j * u
-        r = remaining - u
-        if pos + 1 == len(indices):
-            if r != 0:
-                continue
-        # remaining factors contribute weight in [r*lo, r*hi]
-        if w + r * lo > 0 or w + r * hi < 0:
-            continue
-        out[j + m] = u
-        yield from _weight_zero_rec(indices, out, m, pos + 1, r, w)
-    out[j + m] = 0
+    for u in range(top, bottom - 1, -1):
+        _weight_zero_walk(indices, places, pos + 1, remaining - u, weight + j * u,
+                          numeral + u * place, out, deadline)
 
 
 def multinomial(i: int, exps) -> int:

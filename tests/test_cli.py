@@ -227,12 +227,12 @@ class TestCommands:
         code, rep = run_json(capsys, argv)
         assert code == 1
         assert rep["result"]["seeds_tried"] == [0, 1, 2, 3, 4]
-        slices = [experiments.slice_monomials(2, 3, j) for j in range(10)]
-        open_ = [bool(sl) and any(slices[j - i] for i in range(2, min(5, j) + 1))
-                 for j, sl in enumerate(slices)]
+        sizes = [len(experiments.slice_monomials(2, 3, j, 10)) for j in range(10)]
+        open_ = [bool(size) and any(sizes[j - i] for i in range(2, min(5, j) + 1))
+                 for j, size in enumerate(sizes)]
         assert any(open_)
-        assert rep["result"]["dims"] == [None if o else len(sl)
-                                         for o, sl in zip(open_, slices)]
+        assert rep["result"]["dims"] == [None if o else size
+                                         for o, size in zip(open_, sizes)]
         assert rep["result"]["total"] is None
         assert rep["agreement"] is False
         assert main(argv) == 1
@@ -443,6 +443,9 @@ class TestExitCodes:
                       "m and n must be positive", id="degree-m-0"),
          pytest.param(["chow-expand", "--m", "0", "--n", "3", "--k", "1"],
                       "m and n must be positive", id="chow-expand-m-0"),
+         # the codimension is checked before k! is taken
+         pytest.param(["chow-expand", "--m", "2", "--n", "3", "--k", "-1"],
+                      "codimension -1 outside [1, 4]", id="chow-expand-k--1"),
          pytest.param(["hilbert-slices", "--m", "-1", "--n", "2"],
                       "m and n must be positive", id="hilbert-slices-m--1"),
          pytest.param(["hilbert-slices", "--m", "7", "--n", "7"],

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from sympy.polys.matrices import DomainMatrix
 
-from laurent_eulerian import experiments
+from laurent_eulerian import experiments, laurent
 from laurent_eulerian.algebra import QQ, ExactMatrix, MultiPoly, PrimeField
 from laurent_eulerian.deadline import NO_DEADLINE, Deadline, DeadlineExceeded
 from laurent_eulerian.eulerian import eulerian, orbit_decomposition
@@ -20,7 +20,6 @@ from laurent_eulerian.experiments import (
     _exact_slice_rank,
     _koszul_syzygies,
     _rank_mod_p,
-    _slice_keys,
     _span_matrix,
     decomposition_report,
     default_j_max,
@@ -37,24 +36,32 @@ class TestSlices:
     def test_degree_one_slice(self):
         # only x_0 has bidegree (1, 0), so the x_0-free slice 1 is empty
         assert list(weight_zero_exponents(2, 3, 1)) == [(0, 0, 1, 0, 0, 0)]
-        assert slice_monomials(2, 3, 1) == ()
+        keys = slice_monomials(2, 3, 1, 2)
+        assert keys.dtype == np.int64 and keys.size == 0
 
     def test_degree_zero_slice(self):
-        assert slice_monomials(1, 1, 0) == ((0, 0, 0),)
+        # the empty monomial is the numeral 0
+        assert slice_monomials(1, 1, 0, 1).tolist() == [0]
 
     def test_negative_degree_raises(self):
         with pytest.raises(ValueError, match="natural number"):
-            slice_monomials(1, 1, -1)
+            slice_monomials(1, 1, -1, 1)
+
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0)])
+    def test_empty_window_raises(self, m, n):
+        # the walk needs a variable on each side of x_0
+        with pytest.raises(ValueError, match="m and n must be positive"):
+            slice_monomials(m, n, 2, 3)
 
     def test_degree_two_slice(self):
         # x_0^2 and x_{-1} x_1 for the symmetric window (1, 1); only the
-        # second is free of x_0
+        # second is free of x_0, and (1, 0, 1) in base 3 reads 10
         assert set(weight_zero_exponents(1, 1, 2)) == {(0, 2, 0), (1, 0, 1)}
-        assert slice_monomials(1, 1, 2) == ((1, 0, 1),)
+        assert slice_monomials(1, 1, 2, 3).tolist() == [-10]
 
     def test_slice_sizes_grow_with_window(self):
-        small = len(slice_monomials(1, 2, 4))
-        big = len(slice_monomials(2, 3, 4))
+        small = len(slice_monomials(1, 2, 4, 5))
+        big = len(slice_monomials(2, 3, 4, 5))
         assert small < big
 
     def test_enumeration_checks_the_deadline(self):
@@ -65,13 +72,40 @@ class TestSlices:
                 self.calls += 1
 
         deadline = CountingDeadline()
-        monomials = slice_monomials(6, 6, 10, deadline)
-        assert monomials == slice_monomials(6, 6, 10)
-        assert len(monomials) == 8510
+        keys = slice_monomials(6, 6, 10, 11, deadline)
+        assert np.array_equal(keys, slice_monomials(6, 6, 10, 11))
+        assert len(keys) == 8510
         # one check before the first monomial and one after each
-        assert deadline.calls == len(monomials) + 1 == 8511
+        assert deadline.calls == len(keys) + 1 == 8511
         with pytest.raises(DeadlineExceeded):
-            slice_monomials(6, 6, 10, Deadline(0))
+            slice_monomials(6, 6, 10, 11, Deadline(0))
+
+    @pytest.mark.parametrize("m, n", [(m, t - m) for t in range(2, 7) for m in range(1, t)])
+    def test_keys_match_a_brute_force_enumeration(self, m, n):
+        # a monomial of degree j is a multiset of j variables (a composition
+        # of j over x_{-m}..x_n); those of weight 0 without x_0, read as
+        # base-(j_max + 1) numerals, negated and sorted, are the keys
+        j_max = default_j_max(m, n)
+        base = j_max + 1
+        for j in range(j_max + 1):
+            numerals = [sum(base ** (n - v) for v in c)
+                        for c in itertools.combinations_with_replacement(range(-m, n + 1), j)
+                        if sum(c) == 0 and 0 not in c]
+            keys = slice_monomials(m, n, j, base)
+            assert keys.dtype == np.int64, (m, n, j)
+            assert keys.tolist() == sorted(-x for x in numerals), (m, n, j)
+
+    def test_keys_are_made_without_a_tuple_per_monomial(self):
+        # a list of int numerals, then one int64 array: under 100 traced bytes
+        # per key, where an exponent tuple per monomial took 288
+        tracemalloc.start()
+        try:
+            keys = slice_monomials(6, 6, 11, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(keys) == 15880
+        assert peak < 100 * len(keys)
 
 
 def _full_slice(m, n, j):
@@ -169,10 +203,10 @@ class TestGradedDims:
         # zero forms span nothing, and their Koszul rows are zero: a slice
         # whose span has rows and columns stays open (None); g_1 = x_0 is
         # taken as given, so every other slice keeps its x_0-free size
-        slices = [slice_monomials(2, 3, j) for j in range(10)]
-        has_rows = [any(slices[j - i] for i in range(2, min(5, j) + 1)) for j in range(10)]
-        assert r.dims == tuple(None if rows and sl else len(sl)
-                               for rows, sl in zip(has_rows, slices))
+        sizes = [len(slice_monomials(2, 3, j, 10)) for j in range(10)]
+        has_rows = [any(sizes[j - i] for i in range(2, min(5, j) + 1)) for j in range(10)]
+        assert r.dims == tuple(None if rows and size else size
+                               for rows, size in zip(has_rows, sizes))
         assert None in r.dims and r.total is None
 
     def test_open_slice_moves_to_the_next_seed(self, monkeypatch):
@@ -235,10 +269,10 @@ class TestGradedDims:
         enumerated = []
         real = experiments.slice_monomials
 
-        def enumerate_slice(m, n, j, deadline=NO_DEADLINE):
-            monomials = real(m, n, j, deadline)
+        def enumerate_slice(m, n, j, base, deadline=NO_DEADLINE):
+            keys = real(m, n, j, base, deadline)
             enumerated.append(j)
-            return monomials
+            return keys
 
         def no_forms(*args):
             raise AssertionError("no form may be drawn before the slices are enumerated")
@@ -248,7 +282,7 @@ class TestGradedDims:
         # slice t of (8, 8) takes 1 + |slice t| checks: slices 0..3 take 45,
         # so slice 4 expires at its first check, and with one check fewer
         # slice 3 expires at its last
-        sizes = [len(real(8, 8, t)) for t in range(4)]
+        sizes = [len(real(8, 8, t, 13)) for t in range(4)]
         assert sizes == [1, 0, 8, 32]
         budget = sum(1 + size for size in sizes)
         for checks, done in [(budget, [0, 1, 2, 3]), (budget - 1, [0, 1, 2])]:
@@ -259,25 +293,32 @@ class TestGradedDims:
 
     def test_each_slice_is_enumerated_once(self, monkeypatch):
         # across three seeds, every slice is walked once, only through
-        # slice_monomials, and only for its x_0-free monomials
+        # slice_monomials, only for its x_0-free monomials, and straight to
+        # its keys: no exponent vector is decoded
         degenerate_seeds(monkeypatch, {0, 1})
-        sliced, walked = [], []
-        real_slice, real_walk = experiments.slice_monomials, experiments.weight_zero_exponents
+        sliced, walked, decoded = [], [], []
+        real_slice, real_walk = experiments.slice_monomials, experiments.weight_zero_numerals
 
-        def enumerate_slice(m, n, j, deadline=NO_DEADLINE):
+        def enumerate_slice(m, n, j, base, deadline=NO_DEADLINE):
             sliced.append(j)
-            return real_slice(m, n, j, deadline)
+            return real_slice(m, n, j, base, deadline)
 
-        def walk(m, n, j, x0_free=False):
+        def walk(m, n, j, base, x0_free, deadline=NO_DEADLINE):
             walked.append((j, x0_free))
-            return real_walk(m, n, j, x0_free)
+            return real_walk(m, n, j, base, x0_free, deadline)
+
+        def exponents(*args):
+            decoded.append(args)
+            raise AssertionError("no slice may decode exponent vectors")
 
         monkeypatch.setattr(experiments, "slice_monomials", enumerate_slice)
-        monkeypatch.setattr(experiments, "weight_zero_exponents", walk)
+        monkeypatch.setattr(experiments, "weight_zero_numerals", walk)
+        monkeypatch.setattr(laurent, "weight_zero_exponents", exponents)
         r = graded_quotient_dims(2, 3)
         assert r.seeds_tried == (0, 1, 2)
         assert sliced == list(range(10))
         assert walked == [(j, True) for j in range(10)]
+        assert decoded == []
 
     @pytest.mark.parametrize("m, n, j_max", [(2, 3, None), (3, 3, None), (2, 3, 3), (7, 7, 2)])
     def test_forms_are_drawn_over_the_x0_free_slices(self, m, n, j_max, monkeypatch):
@@ -293,7 +334,7 @@ class TestGradedDims:
         monkeypatch.setattr(GenericFormSet, "generate", generate)
         r = graded_quotient_dims(m, n, j_max=j_max)
         top = min(m + n, len(r.dims) - 1)
-        assert seen == [[len(slice_monomials(m, n, i)) for i in range(1, top + 1)]]
+        assert seen == [[len(slice_monomials(m, n, i, i + 1)) for i in range(1, top + 1)]]
         assert seen[0][0] == 0
 
     def test_key_overflow_is_found_before_any_form(self, monkeypatch):
@@ -377,12 +418,19 @@ class TestGradedDims:
 
 def _slice_data(m, n, seed=0):
     """Forms, slices and slice keys of a window, through its top slice, as
-    graded_quotient_dims draws them: the x_0-free monomials of each slice, and
-    g_1', ..., g_{m+n}' drawn over them."""
-    slices = [slice_monomials(m, n, t) for t in range(default_j_max(m, n) + 1)]
-    forms = GenericFormSet.generate(seed, [len(sl) for sl in slices[1 : m + n + 1]]).forms
-    index = [_slice_keys(sl, len(slices)) for sl in slices]
+    graded_quotient_dims makes them: the keys of each slice's x_0-free
+    monomials, the exponent vectors the keys encode, and g_1', ..., g_{m+n}'
+    drawn over them."""
+    base = default_j_max(m, n) + 1
+    index = [slice_monomials(m, n, t, base) for t in range(base)]
+    slices = [tuple(_digits(-key, base, m + n + 1) for key in keys.tolist()) for keys in index]
+    forms = GenericFormSet.generate(seed, [len(keys) for keys in index[1 : m + n + 1]]).forms
     return forms, slices, index
+
+
+def _digits(numeral, base, nvars):
+    """The exponent vector that a base-`base` numeral reads, x_{-m} first."""
+    return tuple(numeral // base ** (nvars - 1 - t) % base for t in range(nvars))
 
 
 def _residues(forms):
@@ -510,8 +558,13 @@ class TestSliceRankCertificate:
         forms, slices, index = _slice_data(2, 3)
         for keys in index:
             assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
-        # the largest base that fits: 2**63 - 1 is the largest key magnitude
-        assert _slice_keys([(1,) * 63], 2).tolist() == [-(2**63 - 1)]
+        # base 2**21 over the 3 variables of (1, 1) is the largest that
+        # graded_quotient_dims admits: 2**63 = base**3.  The only x_0-free
+        # monomial of degree 2a is x_{-1}^a x_1^a, and its key passes -2**62
+        # at a = 2**21 - 1, the largest exponent below the base
+        a = 2**21 - 1
+        keys = slice_monomials(1, 1, 2 * a, 2**21)
+        assert keys.tolist() == [-(a * 2**42 + a)] and keys[0] < -2**62
 
     def test_top_slice_memory_per_span_entry(self):
         # the x_0-free top slice of (2, 4) spans a 321 x 165 matrix (1604 x 677

@@ -7,6 +7,7 @@ from laurent_eulerian.laurent import (
     constant_term_multinomial,
     multinomial,
     weight_zero_exponents,
+    weight_zero_numerals,
 )
 from conftest import variable
 
@@ -101,6 +102,10 @@ class TestEnumeration:
                 and sum((j - m) * e for j, e in enumerate(u)) == 0
             }
             assert set(weight_zero_exponents(m, n, deg)) == brute
-            # the x_0-free walk keeps the lexicographic order of the full one
+            # the walk is in descending lex order, and its x_0-free numerals
+            # keep the order of the full walk
             full = list(weight_zero_exponents(m, n, deg))
-            assert list(weight_zero_exponents(m, n, deg, True)) == [u for u in full if not u[m]]
+            assert full == sorted(brute, reverse=True)
+            base = deg + 1
+            assert weight_zero_numerals(m, n, deg, base, True) == [
+                sum(e * base ** (m + n - t) for t, e in enumerate(u)) for u in full if not u[m]]

@@ -86,6 +86,18 @@ def test_one_entry_into_the_basis():
     assert len(adds) == 1
 
 
+def test_one_weight_zero_walk():
+    # the slices take their keys straight from the walk, which is the one
+    # weight-zero enumeration in the package: no slice decodes exponent
+    # vectors, and the tuple walk and the key packing are gone
+    experiments = ast.parse((PACKAGE / "experiments.py").read_text())
+    named = read_names(experiments, strings=True)
+    named.update(a.name for a in ast.walk(experiments) if isinstance(a, ast.alias))
+    assert "weight_zero_exponents" not in named
+    defined = {q for p in MODULES for q, _ in definitions(ast.parse(p.read_text()))}
+    assert not defined & {"_weight_zero_rec", "_slice_keys"}
+
+
 def none_deadlines(source: str) -> list:
     """'line: code' for each deadline parameter that defaults to anything but
     NO_DEADLINE, and each comparison or conditional that pairs a deadline
