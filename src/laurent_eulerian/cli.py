@@ -1,5 +1,8 @@
 """Command-line surface: every operation behind a subcommand, JSON or text output.
 
+The command line is `[--format text|json] COMMAND [--flag VALUE]...`;
+`parse_args` reads it against the subcommand table `COMMANDS`.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage error or bad input,
 3 an unexpected error (a bug; the traceback goes to stderr).
 
@@ -13,11 +16,11 @@ theorem-matrix instead marks the cell it cut and every later cell
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
 import traceback
+import types
 from fractions import Fraction
 
 from . import chow, experiments, groebner as gb, laurent
@@ -34,33 +37,42 @@ from .deadline import Deadline, DeadlineExceeded, valid_seconds
 from .laurent import LaurentSpec
 
 
+# An argument's type turns its text into its value, or raises ValueError
+# with the message the usage error prints after "argument --flag: ".
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
 def _field_arg(text: str):
     if text.lower() in ("q", "qq", "rational"):
         return QQ
     try:
         return PrimeField(int(text))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected QQ or a prime, got {text!r}") from None
+        raise ValueError(f"expected QQ or a prime, got {text!r}") from None
 
 
 def _seconds_arg(text: str) -> float:
     """A budget in seconds: finite and non-negative (NaN would never expire)."""
-    value = float(text)
-    if not valid_seconds(value):
-        raise argparse.ArgumentTypeError(
-            f"not a non-negative number of seconds: {text!r}"
-        )
-    return value
+    try:
+        value = float(text)
+        if valid_seconds(value):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"not a non-negative number of seconds: {text!r}")
 
 
 def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than low."""
+    """An integer type no smaller than low."""
     def parse(text: str) -> int:
-        value = int(text)
+        value = _int_arg(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise ValueError(f"must be at least {low}, got {value}")
         return value
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -82,11 +94,33 @@ def _emit(report: dict, fmt: str) -> int:
         print(json.dumps(report, indent=2, default=str))
     else:
         for key, value in report.items():
-            if key == "command":
-                continue
-            print(f"{key}: {_render_text(value)}")
+            if key != "command":
+                print("\n".join(_text_lines(key, value)))
     agreement = report.get("agreement")
     return 1 if agreement is False else 0
+
+
+def _has_records(v) -> bool:
+    """Whether a _jsonable value is, or holds in a dict, a list of records."""
+    if isinstance(v, dict):
+        return any(_has_records(x) for x in v.values())
+    return isinstance(v, list) and any(isinstance(x, dict) for x in v)
+
+
+def _text_lines(key, value, indent=""):
+    """`key: value`; a value that holds a list of records opens a block
+    instead, indented under `key:`, with one line per record."""
+    if not _has_records(value):
+        yield f"{indent}{key}: {_render_text(value)}"
+        return
+    yield f"{indent}{key}:"
+    indent += "  "
+    if isinstance(value, dict):
+        for k, x in value.items():
+            yield from _text_lines(k, x, indent)
+    else:
+        for record in value:
+            yield indent + _render_text(record)
 
 
 def _render_text(v):
@@ -100,15 +134,16 @@ def _render_text(v):
     return str(v)
 
 
-# Subcommand name -> (help, arguments, run).  An argument is (flag, keyword
-# arguments of add_argument); run(args, report) fills the report after the
-# "command" and "inputs" keys that dispatch writes.  A run function calls the
-# layer functions through module globals or module attributes, looked up when
-# it runs, so code that rebinds those names (a tracer, a test's monkeypatch)
-# reaches every subcommand.
+# Subcommand name -> (help, arguments, run).  An argument is (flag, options):
+# a "--flag" that takes one value, with any of the options "type", "choices",
+# "default" and "required" (argparse's meanings).  run(args, report) fills the
+# report after the "command" and "inputs" keys that dispatch writes.  A run
+# function calls the layer functions through module globals or module
+# attributes, looked up when it runs, so code that rebinds those names (a
+# tracer, a test's monkeypatch) reaches every subcommand.
 COMMANDS: dict = {}
 
-_INT = {"type": int, "required": True}
+_INT = {"type": _int_arg, "required": True}
 WINDOW = (("--m", _INT), ("--n", _INT))
 FIELD = ("--field", {"type": _field_arg, "default": QQ})
 BUDGET = ("--budget-seconds", {"type": _seconds_arg})
@@ -144,7 +179,7 @@ def _mobius(args, report):
 
 @_command("orbits", "add-1 orbits of circular permutations",
           ("--size", _INT), ("--ascents", _INT),
-          ("--cap", {"type": int, "default": ORBIT_CAP}))
+          ("--cap", {"type": _int_arg, "default": ORBIT_CAP}))
 def _orbits(args, report):
     dec = orbit_decomposition(args.size, args.ascents, cap=args.cap)
     expected = eulerian(args.size - 1, args.ascents - 1)
@@ -170,7 +205,7 @@ def _const_terms(args, report):
 @_command("groebner", "reduced basis of the constant-term ideal",
           *WINDOW, FIELD,
           ("--order", {"choices": ("degrevlex", "lex"), "default": "degrevlex"}),
-          ("--max-power", {"type": int}), BUDGET)
+          ("--max-power", {"type": _int_arg}), BUDGET)
 def _groebner(args, report):
     spec = gb.IdealSpec(args.m, args.n, max_power=args.max_power, field=args.field)
     basis = gb.groebner_of_ideal(spec, gb.TermOrder(args.order),
@@ -220,7 +255,7 @@ def _sparse_degree(args, report):
 
 
 @_command("decomposition", "divisor decomposition of the Eulerian number",
-          *WINDOW, ("--orbit-cap", {"type": int, "default": ORBIT_CAP}))
+          *WINDOW, ("--orbit-cap", {"type": _int_arg, "default": ORBIT_CAP}))
 def _decomposition(args, report):
     rep = experiments.decomposition_report(args.m, args.n, orbit_cap=args.orbit_cap)
     report["result"] = {"rows": rep.rows, "total": rep.total, "expected": rep.expected_total}
@@ -228,7 +263,7 @@ def _decomposition(args, report):
 
 
 @_command("hilbert-slices", "graded quotient dimensions for generic forms",
-          *WINDOW, ("--seed", {"type": int, "default": 0}),
+          *WINDOW, ("--seed", {"type": _int_arg, "default": 0}),
           ("--j-max", {"type": _int_at_least(0)}), BUDGET)
 def _hilbert_slices(args, report):
     value = experiments.graded_quotient_dims(
@@ -251,56 +286,152 @@ def _theorem_matrix(args, report):
     report["agreement"] = rep.agrees
 
 
-class _Subparser:
-    """A subcommand's parser, built the first time argparse reads from it.
+PROG = "laurent-eulerian"
+DESCRIPTION = "Exact constant-term, Groebner, Chow, and Eulerian computations"
+FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+HELP = ("-h", "--help")
+# a token that starts with "-" and still reads as a value: no declared flag
+# looks like a negative number, so argparse reads "-1" as one
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    `build_parser` keeps its parser for the life of the process.  With every
-    subcommand's parser built up front that is about 70 KB, which a run of
-    one subcommand would hold through its whole computation.  argparse lists
-    the subcommands and their help from `add_parser` alone, and reads a
-    subcommand's parser only to parse that subcommand's arguments.
+
+class _UsageError(Exception):
+    """A command line outside the grammar; the message follows "error: "."""
+
+
+def _dest(flag: str) -> str:
+    """The namespace attribute of a --flag: argparse's name for it."""
+    return flag[2:].replace("-", "_")
+
+
+def _metavar(flag: str, kwargs: dict) -> str:
+    choices = kwargs.get("choices")
+    return "{%s}" % ",".join(choices) if choices else _dest(flag).upper()
+
+
+def _usage(prog: str, arguments) -> str:
+    parts = ["usage:", prog, "[-h]"]
+    for flag, kwargs in arguments:
+        part = f"{flag} {_metavar(flag, kwargs)}"
+        parts.append(part if kwargs.get("required") else f"[{part}]")
+    if prog == PROG:
+        parts.append("COMMAND [--flag VALUE | --flag=VALUE]...")
+    return " ".join(parts)
+
+
+def _help(prog: str, arguments, description: str) -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    for flag, kwargs in arguments:
+        default = kwargs.get("default")
+        rows.append((f"{flag} {_metavar(flag, kwargs)}",
+                     "required" if kwargs.get("required")
+                     else "optional" if default is None else f"default: {default}"))
+    lines = [_usage(prog, arguments), "", description, ""]
+    if prog == PROG:
+        lines += ["commands:", *(f"  {name:<18} {help_text}"
+                                 for name, (help_text, _, _) in COMMANDS.items()), ""]
+    width = max(len(spec) for spec, _ in rows)
+    lines += ["options:", *(f"  {spec:<{width}}  {note}" for spec, note in rows)]
+    return "\n".join(lines)
+
+
+def _is_value(token: str, options: dict) -> bool:
+    """Whether argparse reads token as a value rather than as an option."""
+    if token.partition("=")[0] in options:
+        return False
+    return (not token.startswith("-") or token == "-" or " " in token
+            or _NEGATIVE_NUMBER.match(token) is not None)
+
+
+def _choice(name: str, value, choices):
+    if value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
+def _read_options(argv, i, prog, arguments, description, args, extras) -> int:
+    """Set args from the options in argv[i:], one parser level (the top level
+    when prog is PROG) as argparse reads it; return the index of the command,
+    or len(argv).  A token no option takes goes to extras, and below the top
+    level so does every value."""
+    options = {**dict.fromkeys(HELP), **dict(arguments)}
+    while i < len(argv):
+        token = argv[i]
+        flag, eq, text = token.partition("=")
+        if flag not in options:
+            if prog == PROG and _is_value(token, options):
+                return i
+            extras.append(token)
+        elif flag in HELP:
+            if eq:
+                raise _UsageError(f"argument -h/--help: ignored explicit argument {text!r}")
+            print(_help(prog, arguments, description))
+            raise SystemExit(0)
+        else:
+            if not eq:
+                if i + 1 == len(argv) or not _is_value(argv[i + 1], options):
+                    raise _UsageError(f"argument {flag}: expected one argument")
+                i += 1
+                text = argv[i]
+            kwargs = options[flag]
+            value = text
+            if "type" in kwargs:
+                try:
+                    value = kwargs["type"](text)
+                except ValueError as err:
+                    raise _UsageError(f"argument {flag}: {err}") from None
+            if "choices" in kwargs:
+                _choice(flag, value, kwargs["choices"])
+            setattr(args, _dest(flag), value)
+        i += 1
+    return i
+
+
+def parse_args(argv=None) -> types.SimpleNamespace:
+    """argv (default: sys.argv[1:]) read as `[--format text|json] COMMAND
+    [--flag VALUE | --flag=VALUE]...` against `COMMANDS`.
+
+    The namespace holds format, command and every argument COMMAND declares,
+    at its default or None where it was not given; a repeated flag keeps its
+    last value.  It reads argv as argparse would with the same declarations,
+    except that a flag must be spelled in full.  -h/--help, at either level,
+    prints help and exits 0; a usage error prints to stderr and exits 2.
     """
-
-    def __init__(self, arguments, **kwargs):
-        self._arguments = arguments
-        self._kwargs = kwargs
-
-    @functools.cached_property
-    def _parser(self) -> argparse.ArgumentParser:
-        parser = argparse.ArgumentParser(**self._kwargs)
-        for flag, kwargs in self._arguments:
-            parser.add_argument(flag, **kwargs)
-        return parser
-
-    def __getattr__(self, name):
-        return getattr(self._parser, name)
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after.
-
-    It depends only on `COMMANDS`, and `parse_args` leaves it unchanged, so
-    `main` may reuse it for each argv.  Each subcommand's own parser is built
-    on first use (`_Subparser`).
-    """
-    ap = argparse.ArgumentParser(
-        prog="laurent-eulerian",
-        description="Exact constant-term, Groebner, Chow, and Eulerian computations",
-    )
-    ap.add_argument("--format", choices=("text", "json"), default="text")
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Subparser)
-    for name, (help_text, arguments, _) in COMMANDS.items():
-        sub.add_parser(name, help=help_text, arguments=arguments)
-    return ap
+    argv = sys.argv[1:] if argv is None else list(argv)
+    prog, arguments = PROG, (FORMAT,)
+    args = types.SimpleNamespace(format=FORMAT[1]["default"])
+    extras = []
+    try:
+        i = _read_options(argv, 0, prog, arguments, DESCRIPTION, args, extras)
+        if i == len(argv):
+            raise _UsageError("the following arguments are required: command")
+        args.command = _choice("command", argv[i], COMMANDS)
+        description, arguments, _ = COMMANDS[args.command]
+        prog = f"{PROG} {args.command}"
+        for flag, kwargs in arguments:
+            setattr(args, _dest(flag), kwargs.get("default"))
+        _read_options(argv, i + 1, prog, arguments, description, args, extras)
+        missing = [flag for flag, kwargs in arguments
+                   if kwargs.get("required") and getattr(args, _dest(flag)) is None]
+        if missing:
+            raise _UsageError("the following arguments are required: " + ", ".join(missing))
+        if extras:  # reported, as argparse does, by the top level
+            prog, arguments = PROG, (FORMAT,)
+            raise _UsageError("unrecognized arguments: " + " ".join(extras))
+    except _UsageError as err:
+        print(_usage(prog, arguments), file=sys.stderr)
+        print(f"{prog}: error: {err}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return args
 
 
 def dispatch(args) -> dict:
     """The subcommand's report, with every declared argument as parsed for
     its inputs; a run that outlives its budget reports a timeout."""
     _, arguments, run = COMMANDS[args.command]
-    dests = [flag[2:].replace("-", "_") for flag, _ in arguments]  # argparse's dest
-    report = {"command": args.command, "inputs": {d: getattr(args, d) for d in dests}}
+    report = {"command": args.command,
+              "inputs": {_dest(flag): getattr(args, _dest(flag)) for flag, _ in arguments}}
     try:
         run(args, report)
     except DeadlineExceeded:
@@ -323,7 +454,7 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         report = dispatch(args)
     except (ValueError, TypeError) as err:  # bad input

@@ -1,14 +1,18 @@
 import argparse
 import contextlib
 import gc
+import importlib
 import json
-import re
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from laurent_eulerian import cli, experiments, laurent
+from laurent_eulerian.algebra import QQ, PrimeField
 from laurent_eulerian.cli import main
 from laurent_eulerian.deadline import NO_DEADLINE
 from conftest import degenerate_seeds
@@ -20,14 +24,9 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
-def run_captured(capsys, argv):
-    """Exit code, stdout and stderr of one main call, argparse exits included."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def fields(record):
+    """A json record as --format text prints its fields."""
+    return ", ".join(f"{k}={v}" for k, v in record.items())
 
 
 @pytest.fixture
@@ -182,20 +181,23 @@ class TestCommands:
         assert rep["result"]["total"] == rep["result"]["expected"] == 156190
         assert rep["agreement"] is True
 
-    @pytest.mark.parametrize("argv, records", [
-        (["theorem-matrix", "--max-total", "3"], lambda result: result),
-        (["decomposition", "--m", "2", "--n", "2"], lambda result: result["rows"]),
+    @pytest.mark.parametrize("argv, block", [
+        (["theorem-matrix", "--max-total", "3"],
+         lambda result: ["result:", *("  " + fields(r) for r in result)]),
+        (["decomposition", "--m", "2", "--n", "2"],
+         lambda result: ["result:", "  rows:", *("    " + fields(r) for r in result["rows"]),
+                         f"  total: {result['total']}", f"  expected: {result['expected']}"]),
     ], ids=["theorem-matrix", "decomposition"])
-    def test_text_sets_each_record_off(self, capsys, argv, records):
-        # a list of records prints each record in braces, field for field as in json
+    def test_text_sets_each_record_off(self, capsys, argv, block):
+        # each record of a list prints on its own line, field for field as in
+        # json, indented under the key that holds the list
         _, rep = run_json(capsys, argv)
         assert main(["--format", "text", *argv]) == 0
-        result = next(line for line in capsys.readouterr().out.splitlines()
-                      if line.startswith("result: "))
-        cells = re.findall(r"\{([^{}]*)\}", result)
-        assert len(cells) == 3
-        assert cells == [", ".join(f"{k}={v}" for k, v in record.items())
-                         for record in records(rep["result"])]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"inputs: {fields(rep['inputs'])}", *block(rep["result"]),
+                         "agreement: True"]
+        assert sum(line.startswith("  m=") or line.startswith("    d=")
+                   for line in lines) == 3
 
     def test_hilbert_slices(self, capsys):
         code, rep = run_json(
@@ -273,6 +275,29 @@ class TestCommands:
         assert code == 0
         assert rep["agreement"] is True
         assert {c["status"] for c in rep["result"]} == {"ok"}
+
+
+class TestEntryPoints:
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
+        # pyproject's script calls its target with no argv
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["laurent-eulerian"]
+        module, _, name = target.partition(":")
+        script = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(sys, "argv", ["laurent-eulerian", "--format", "json",
+                                          "eulerian", "--n", "4", "--k", "1"])
+        assert script() == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "eulerian", "inputs": {"n": 4, "k": 1}, "result": 11}
+
+    def test_module_runs_as_a_script(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "laurent_eulerian.cli", "--format", "json",
+                              "degree", "--m", "2", "--n", "3"],
+                             capture_output=True, text=True, env=env)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert json.loads(run.stdout)["result"]["groebner_degree"] == 11
 
 
 # one cheap argv per subcommand; some options given, some left to their default
@@ -512,60 +537,103 @@ class TestExitCodes:
         assert set(rep) == {"command", "inputs", "result", "agreement"}
 
 
-class TestSharedParser:
-    """`main` parses every argv with one parser, kept for the life of the process."""
-
-    def test_parser_is_built_once(self, capsys, monkeypatch):
-        # the top-level parser on the first call, and a subcommand's parser
-        # on the first call that names it; the top-level help needs none
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def spy(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-        cli.build_parser.cache_clear()
-        for argv in (["eulerian", "--n", "5", "--k", "2"], ["eulerian", "--n", "5", "--k", "2"],
-                     ["mobius", "--n", "30"], ["--help"], ["mobius", "--n", "6"]):
-            assert run_captured(capsys, argv)[0] == 0
-        assert built == ["laurent-eulerian", "laurent-eulerian eulerian",
-                         "laurent-eulerian mobius"]
-
-    def test_subcommand_parsers_built_on_first_use_parse_as_eager_ones(self, capsys):
-        # the reference builds every subcommand's parser up front
-        eager = argparse.ArgumentParser(prog="laurent-eulerian",
-                                        description=cli.build_parser().description)
-        eager.add_argument("--format", choices=("text", "json"), default="text")
-        sub = eager.add_subparsers(dest="command", required=True)
-        for name, (help_text, arguments, _) in cli.COMMANDS.items():
-            p = sub.add_parser(name, help=help_text)
-            for flag, kwargs in arguments:
-                p.add_argument(flag, **kwargs)
-
-        def parse(parser, argv):
+def argparse_oracle():
+    """An argparse parser of the same declarations as `cli.parse_args`: every
+    subcommand's parser built up front, abbreviations off, and a type's
+    ValueError reported by its message."""
+    def typed(parse):
+        def convert(text):
             try:
-                result = vars(parser.parse_args(argv))
-            except SystemExit as exc:
-                result = exc.code
-            return result, capsys.readouterr()
+                return parse(text)
+            except ValueError as err:
+                raise argparse.ArgumentTypeError(str(err)) from None
+        return convert
 
-        argvs = [["--help"], [], ["no-such-command"]]
-        for name, (_, arguments, _) in cli.COMMANDS.items():
-            argvs += [[name, "--help"], [name], [name, *[a for flag, _ in arguments
-                                                         for a in (flag, "2")]]]
-        cli.build_parser.cache_clear()
-        for argv in argvs:
-            assert parse(cli.build_parser(), argv) == parse(eager, argv), argv
+    def add(parser, flag, kwargs):
+        if "type" in kwargs:
+            kwargs = {**kwargs, "type": typed(kwargs["type"])}
+        parser.add_argument(flag, **kwargs)
+
+    oracle = argparse.ArgumentParser(prog=cli.PROG, allow_abbrev=False)
+    add(oracle, *cli.FORMAT)
+    sub = oracle.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments, _) in cli.COMMANDS.items():
+        parser = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, kwargs in arguments:
+            add(parser, flag, kwargs)
+    return oracle
+
+
+def parsed(parse, capsys, argv):
+    """The namespace as a dict, or the exit code; the error line; stdout."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, [line for line in captured.err.splitlines() if ": error: " in line], \
+        captured.out
+
+
+# flag values that argparse reads, and usage errors it reports
+ORACLE_ARGVS = [
+    [], ["no-such-command"], ["--format", "xml", "mobius", "--n", "6"],
+    ["--format=json", "mobius", "--n", "6"], ["--format"],
+    ["eulerian", "--n", "x", "--k", "1"],
+    ["degree", "--m", "2", "--n", "3", "--field", "4"],
+    ["groebner", "--m", "2", "--n", "2", "--order", "grevlex"],
+    ["groebner", "--m", "2", "--n", "2", "--budget-seconds", "nan"],
+    ["eulerian", "--n", "4", "--k", "1", "--poly", "z^-1 + z"],
+    ["--bogus", "eulerian", "--n", "4", "--k", "1"],
+    ["eulerian", "--n"], ["eulerian", "--n", "--k", "1"],
+    ["eulerian", "--n", "4", "--n", "5", "--k", "1"],
+    ["degree", "--m=2", "--n", "3"], ["degree", "--m=", "--n", "3"],
+    ["eulerian", "--n", "4", "--k", "1", "--format", "json"],
+    ["eulerian", "--n", "-4", "--k", "-1"], ["eulerian", "--n", "-"],
+    ["eulerian", "--n", "-1 + z"],
+    ["hilbert-slices", "--m", "2", "--n", "3", "--j-max", "-1"],
+    ["theorem-matrix", "--max", "3"], ["theorem-matrix", "--max-total", "3", "stray"],
+    ["eulerian", "--help=x"],
+]
+
+
+class TestSharedParser:
+    """`main` parses every argv from the one command table, with no state
+    carried from one call to the next."""
+
+    @pytest.mark.parametrize("argv", [
+        *ORACLE_ARGVS,
+        *([name] for name in cli.COMMANDS),
+        *([name, *[a for flag, _ in arguments for a in (flag, "2")]]
+          for name, (_, arguments, _) in cli.COMMANDS.items()),
+    ], ids=" ".join)
+    def test_parse_args_agrees_with_argparse(self, capsys, argv):
+        # the same namespace, or the same exit code and error line
+        want, want_errors, _ = parsed(argparse_oracle().parse_args, capsys, argv)
+        got, errors, out = parsed(cli.parse_args, capsys, argv)
+        assert (got, errors) == (want, want_errors)
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--format", "json", "-h"],
+                                      *([name, "--help"] for name in cli.COMMANDS)],
+                             ids=" ".join)
+    def test_help_names_every_command_and_flag(self, capsys, argv):
+        code, errors, out = parsed(cli.parse_args, capsys, argv)
+        assert (code, errors) == (0, [])
+        assert parsed(argparse_oracle().parse_args, capsys, argv)[0] == 0
+        if argv[0] in cli.COMMANDS:
+            names = ["-h, --help", *(flag for flag, _ in cli.COMMANDS[argv[0]][1])]
+        else:
+            names = ["-h, --help", "--format", *cli.COMMANDS]
+        assert [name for name in names if name not in out] == []
 
     @pytest.mark.parametrize("argv", [["eulerian", "--n", "5", "--k", "2"],
                                       ["theorem-matrix", "--max-total", "4"],
                                       ["hilbert-slices", "--m", "2", "--n", "3"]],
                              ids=["eulerian", "theorem-matrix", "hilbert-slices"])
     def test_warm_call_leaves_little_cyclic_garbage(self, capsys, argv):
-        # the parser's objects hold reference cycles: a parser built per call
-        # left about 600 unreachable objects per call for the cyclic collector;
+        # an argparse parser built per call left about 600 unreachable
+        # objects per call for the cyclic collector;
         # a self-referencing recursive closure in weight_zero_exponents left 80
         main(argv)
         gc.collect()
@@ -581,7 +649,7 @@ class TestSharedParser:
         ["degree", "--m", "2", "--n", "3", "--field", "32003"],
         ["degree", "--m", "2", "--n", "3"],  # the --field default is QQ again
         ["groebner", "--m", "1", "--n", "2", "--budget-seconds", "0"],
-        ["degree", "--m", "0", "--n", "2"],
+        ["groebner", "--m", "1", "--n", "2"],  # no budget again
         ["eulerian", "--n", "x", "--k", "1"],
         ["no-such-command"],
         ["--help"],
@@ -589,13 +657,13 @@ class TestSharedParser:
     ]
 
     def test_shared_parser_carries_no_state(self, capsys):
-        forwards = [run_captured(capsys, argv) for argv in self.ARGVS]
-        backwards = [run_captured(capsys, argv) for argv in reversed(self.ARGVS)]
+        forwards = [parsed(cli.parse_args, capsys, argv) for argv in self.ARGVS]
+        backwards = [parsed(cli.parse_args, capsys, argv) for argv in reversed(self.ARGVS)]
         assert forwards == backwards[::-1]
-        assert [code for code, _, _ in forwards] == [0, 0, 0, 2, 2, 2, 0, 0]
-        assert "field=GF(32003)" in forwards[0][1]
-        assert "field=QQ" in forwards[1][1]
-        assert "result: timeout" in forwards[2][1]
+        results = [result for result, _, _ in forwards]
+        assert results[4:] == [2, 2, 0, 0]
+        assert results[0]["field"] == PrimeField(32003) and results[1]["field"] is QQ
+        assert results[2]["budget_seconds"] == 0 and results[3]["budget_seconds"] is None
 
     @pytest.mark.parametrize("argv", [["eulerian", "--n", "15000", "--k", "1"],
                                       ["eulerian", "--n", "x", "--k", "1"]],

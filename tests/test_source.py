@@ -4,6 +4,7 @@ import argparse
 import ast
 import importlib
 import inspect
+import json
 import re
 import shlex
 import subprocess
@@ -396,8 +397,8 @@ def test_records_are_not_dataclasses():
 
 # the modules, other than the package's own, that importing the CLI loads
 # after numpy; each costs every run its start-up time and resident memory
-CLI_IMPORTS = {"__future__", "_decimal", "_heapq", "_json", "argparse", "decimal",
-               "fractions", "gettext", "heapq", "json", "traceback"}
+CLI_IMPORTS = {"__future__", "_decimal", "_heapq", "_json", "decimal", "fractions",
+               "heapq", "json", "traceback"}
 
 
 def test_cli_import_surface():
@@ -410,6 +411,20 @@ def test_cli_import_surface():
     added = {name.split(".")[0] for name in out} - {PACKAGE.name}
     assert sorted(added - CLI_IMPORTS) == []
     assert "laurent_eulerian.cli" in out
+
+
+def test_cli_run_loads_no_argparse():
+    # argparse imports gettext, and its first parser imports locale: about
+    # 0.55 MB of every run.  locale arrives while parsing, not at import, so
+    # a whole run is checked
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            "from laurent_eulerian.cli import main; "
+            "code = main(['--format', 'json', 'eulerian', '--n', '4', '--k', '1']); "
+            "print(code, *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[-1] == "0"
+    assert json.loads("\n".join(out[:-1]))["result"] == 11
 
 
 def command_faults(source: str, commands: dict) -> list:
@@ -470,9 +485,8 @@ def test_readme_examples_parse():
     lines = [line.strip() for block in blocks for line in block.splitlines()]
     commands = [shlex.split(line, comments=True)[1:] for line in lines
                 if line.startswith("laurent-eulerian ") and "$" not in line]
-    parser = cli.build_parser()
     for argv in commands:
-        parser.parse_args(argv)  # a bad example exits 2
+        cli.parse_args(argv)  # a bad example exits 2
     assert sorted({argv[0] for argv in commands}) == sorted(cli.COMMANDS)
 
 
