@@ -124,13 +124,12 @@ def _text_lines(key, value, indent=""):
 
 
 def _render_text(v):
-    """A _jsonable value as text: its containers are dicts and lists, and each
-    record of a list is set off in braces."""
+    """A _jsonable value as text: a dict as `k=v, ...` and a list in brackets.
+    _text_lines gives each list of records a block, so no list here holds one."""
     if isinstance(v, dict):
         return ", ".join(f"{k}={_render_text(x)}" for k, x in v.items())
     if isinstance(v, list):
-        return "[" + ", ".join("{%s}" % _render_text(x) if isinstance(x, dict)
-                               else _render_text(x) for x in v) + "]"
+        return "[" + ", ".join(map(_render_text, v)) + "]"
     return str(v)
 
 

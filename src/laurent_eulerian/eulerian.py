@@ -22,29 +22,16 @@ class GenEulerianDomainError(ValueError):
     """The step d does not divide k+1 (the generalized table is undefined there)."""
 
 
-@functools.cache
 def eulerian(n: int, k: int) -> int:
     """Number of permutations of {1,...,n} with exactly k ascents.
 
     Recurrence <n,k> = (k+1)<n-1,k> + (n-k)<n-1,k-1>; zero outside 0 <= k <= n-1
-    (except <0,0> = 1 for the empty permutation).
+    (except <0,0> = 1 for the empty permutation).  This is gen_eulerian's step-1
+    table, so decomposition's total check tests mobius, divisors and deg_Z_circle.
     """
     if n < 0:
         raise ValueError("n must be a natural number")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k < 0 or k > n - 1:
-        return 0
-    # row by row from <1,0>; a cell of row r reaches (n, k) only through
-    # columns k-(n-r)..k, so only that band of one row is kept (every full
-    # row up to n = 1500 would hold about 1 GB of integers)
-    row = {0: 1}
-    for r in range(2, n + 1):
-        row = {
-            j: (j + 1) * row.get(j, 0) + (r - j) * row.get(j - 1, 0)
-            for j in range(max(0, k - (n - r)), min(k, r - 1) + 1)
-        }
-    return row[k]
+    return gen_eulerian(n, k, 1)
 
 
 def ascents(seq) -> int:
@@ -105,17 +92,16 @@ def gen_eulerian(k: int, ell: int, d: int) -> int:
     if ell < 0 or ell > k:
         return 0
     # row by row from the base row d-1; a cell of row r reaches (k, ell) only
-    # through columns ell, ell-d, ..., ell-s*d with s <= (k-r)/d, so only
-    # those are kept
-    for r in range(d - 1, k + 1, d):
-        cols = range(max(ell - (k - r) // d * d, ell % d), min(ell, r) + 1, d)
-        if r == d - 1:
-            row = {c: 1 if math.gcd(c + 1, d) == 1 else 0 for c in cols}
-        else:
-            row = {
-                c: (c + 1) * row.get(c, 0) + (r - c) * row.get(c - d, 0)
-                for c in cols
-            }
+    # through columns ell, ell-d, ..., ell-(k-r), so only those are kept (every
+    # full row up to k = 1500 would hold about 1 GB of integers)
+    low, gap = ell % d, k - ell
+    row = {c: 1 if math.gcd(c + 1, d) == 1 else 0
+           for c in range(max(d - 1 - gap, low), min(ell, d - 1) + 1, d)}
+    for r in range(2 * d - 1, k + 1, d):
+        row = {
+            c: (c + 1) * row.get(c, 0) + (r - c) * row.get(c - d, 0)
+            for c in range(max(r - gap, low), min(ell, r) + 1, d)
+        }
     return row[ell]
 
 

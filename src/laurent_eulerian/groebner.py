@@ -26,8 +26,11 @@ class _TermOrder(NamedTuple):
 
 
 class TermOrder(_TermOrder):
-    """Monomial order on exponent tuples, degrevlex or lex, with the variables
-    in position order: x_{offset} > x_{offset+1} > ..."""
+    """Monomial order on exponent tuples, with the variables in position
+    order: x_{offset} > x_{offset+1} > ...  lex compares the tuples from the
+    first exponent.  degrevlex compares total degrees, and of two monomials
+    of one degree the larger has the smaller exponent at the last position
+    where they differ.  Packing encodes the order."""
 
     __slots__ = ()
 
@@ -35,12 +38,6 @@ class TermOrder(_TermOrder):
         if kind not in ("degrevlex", "lex"):
             raise ValueError(f"unknown order kind {kind!r}")
         return super().__new__(cls, kind)
-
-    def key(self):
-        """The order on exponent tuples as a sort key; Packing encodes it."""
-        if self.kind == "lex":
-            return lambda e: e
-        return lambda e: (sum(e), tuple(-u for u in reversed(e)))
 
 
 class ExponentOverflow(OverflowError):
@@ -54,9 +51,9 @@ class Packing:
     of a packed monomial are zero.  The low fields hold the exponents.  For
     degrevlex the fields above them hold the prefix sums a_0 + ... + a_k,
     k = 0..nvars-1, so that read from the top they are deg, deg - a_{n-1},
-    deg - a_{n-1} - a_{n-2}, ...: TermOrder.key shifted to naturals.  For lex
-    the exponents are the only fields, x_0's on top.  Every field is linear in
-    the exponents, so
+    deg - a_{n-1} - a_{n-2}, ...: the degree first, then the smaller last
+    differing exponent wins, which is degrevlex.  For lex the exponents are
+    the only fields, x_0's on top.  Every field is linear in the exponents, so
 
     - comparing two packed integers compares the monomials in the term order;
     - a + b packs the product, and b - a the quotient when a divides b;
@@ -188,14 +185,6 @@ class GroebnerBasis:
         return len(self.elements) == 1 and self.leading[0] == (0,) * self.nvars
 
 
-def leading_term(p: MultiPoly, order: TermOrder):
-    if p.is_zero:
-        raise ValueError("zero polynomial has no leading term")
-    key = order.key()
-    e = max(p.terms, key=key)
-    return e, p.terms[e]
-
-
 def _subtract(work: dict, element: tuple, shift: int, factor, field, guards: int) -> None:
     """work -= factor x^shift tail(element), in place, for an _element; raises
     ExponentOverflow if a shifted monomial does not fit the fields."""
@@ -246,16 +235,6 @@ def normal_form(p: MultiPoly, G: GroebnerBasis) -> MultiPoly:
         return [_reduce(packed[0], reducers, p.field, packing.guards)]
 
     return _on_packing(G.order, [p, *G], run)[0]
-
-
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
-    ef, cf = leading_term(f, order)
-    eg, cg = leading_term(g, order)
-    lcm = tuple(map(max, ef, eg))
-    fld = f.field
-    mf = MultiPoly({tuple(a - b for a, b in zip(lcm, ef)): fld.inv(cf)}, f.nvars, f.offset, fld)
-    mg = MultiPoly({tuple(a - b for a, b in zip(lcm, eg)): fld.inv(cg)}, f.nvars, f.offset, fld)
-    return mf * f - mg * g
 
 
 def _s_polynomial(f: tuple, g: tuple, lcm: int, field, guards: int) -> dict:

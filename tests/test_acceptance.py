@@ -32,14 +32,13 @@ from laurent_eulerian.groebner import (
     groebner_of_ideal,
     ideal_quotient_dimension,
     normal_form,
-    s_polynomial,
 )
 from laurent_eulerian.laurent import (
     LaurentSpec,
     constant_term_iterative,
     constant_term_multinomial,
 )
-from conftest import random_poly
+from conftest import random_poly, s_polynomial
 
 
 @contextmanager

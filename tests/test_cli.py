@@ -67,6 +67,12 @@ class TestCommands:
             sys.set_int_max_str_digits(0)
         assert str(2**15000 - 15001) in out
 
+    def test_runs_where_python_has_no_digit_limit(self, capsys, monkeypatch):
+        # Python before 3.10.7 has no set_int_max_str_digits: main runs as is
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        assert main(["eulerian", "--n", "5", "--k", "2"]) == 0
+        assert capsys.readouterr().out == "inputs: n=5, k=2\nresult: 66\n"
+
     def test_worpitzky(self, capsys):
         code, rep = run_json(capsys, ["worpitzky", "--k", "6"])
         assert code == 0 and rep["agreement"] is True
@@ -401,9 +407,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, budget",
         [pytest.param(["groebner", "--m", "2", "--n", "2"], b, id=b)
-         for b in ("nan", "-1", "inf")]
+         for b in ("nan", "-1", "inf", "abc")]
         + [pytest.param(["theorem-matrix", "--max-total", "4"], b, id=f"theorem-matrix-{b}")
-           for b in ("nan", "-1", "inf")],
+           for b in ("nan", "-1", "inf", "abc")],
     )
     def test_budget_must_be_finite_and_non_negative(self, capsys, argv, budget):
         with pytest.raises(SystemExit) as exc:

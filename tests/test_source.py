@@ -25,12 +25,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TESTS = Path(__file__).resolve().parent
 PYPROJECT = TESTS.parent / "pyproject.toml"
 README = TESTS.parent / "README.md"
-# kept although no program path calls them: tests check the program against them
+# kept in src although no program path calls them: tests check the program
+# against them.  The benchmark's tracer reads ExactMatrix.__dict__["rank"];
+# normal_form is public, and the planned unit check by a multiplication matrix
+# calls it; eulerian_bruteforce is public; the rest copy no program path, so
+# moving them to the tests would move lines without removing any
 TEST_ORACLES = {
     "normal_form",
-    "s_polynomial",
-    "leading_term",
-    "TermOrder.key",
     "ExactMatrix.rank",
     "ray_matrix",
     "eulerian_bruteforce",
