@@ -6,7 +6,8 @@ rationals are arbitrary-precision, prime-field residues are reduced ints.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
+import sys
 from typing import Mapping, Sequence
 
 
@@ -43,14 +44,37 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class RationalField:
-    """The rationals, with values stored as ints or Fractions in lowest terms."""
+def _is_fraction(v) -> bool:
+    """Whether v is a fractions.Fraction, without importing fractions: if no
+    code has imported it, no Fraction exists."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(v, fractions.Fraction)
 
-    zero = Fraction(0)
-    one = Fraction(1)
+
+@functools.cache
+def _fraction_one():
+    """Fraction(1), the numerator of every QQ inverse.
+
+    fractions is imported here, at the first QQ division, and not at the top:
+    it imports decimal, about 0.4 MB and 2 ms of every run, and most runs
+    never divide over QQ.  Fractions are immutable, so one is shared.
+    """
+    from fractions import Fraction
+    return Fraction(1)
+
+
+class RationalField:
+    """The rationals, with values stored as ints or Fractions in lowest terms.
+
+    A value stays an int until a division makes it a Fraction, so fractions
+    is imported only by a run that divides over QQ (see _fraction_one).
+    """
+
+    zero = 0
+    one = 1
 
     def coerce(self, v):
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, int) or _is_fraction(v):
             return v
         raise TypeError(f"cannot coerce {v!r} into QQ")
 
@@ -69,7 +93,7 @@ class RationalField:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        return _fraction_one() / a
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -102,7 +126,7 @@ class PrimeField:
     def coerce(self, v):
         if isinstance(v, int):
             return v % self.p
-        if isinstance(v, Fraction):
+        if _is_fraction(v):
             den = v.denominator % self.p
             if den == 0:
                 raise ZeroDivisionError(f"denominator of {v} vanishes mod {self.p}")

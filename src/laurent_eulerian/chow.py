@@ -5,13 +5,14 @@ monomial ideal (two products of consecutive divisors) and the linear relations
 read off the ray matrix.  Those relations make every class affine in its
 index, D_j = (1-j)*D_0 + j*D_1 (Fulton, Introduction to Toric Varieties,
 section 3.3), and each graded piece is handled by exact linear algebra in the
-two-variable polynomial ring QQ[D_0, D_1].
+two-variable polynomial ring QQ[D_0, D_1].  The classes are built from ints;
+Fractions appear only where the QQ solve divides.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import numbers
 from typing import NamedTuple
 
 from .algebra import QQ, ExactMatrix
@@ -41,13 +42,13 @@ def _linear_form(j: int) -> list:
     Ray row r reads r*D_{-m} - (r+1)*D_{-m+1} + D_{-m+1+r} = 0, so the classes
     are affine in their index: D_j = (1-j)*D_0 + j*D_1.
     """
-    return [Fraction(1 - j), Fraction(j)]
+    return [1 - j, j]
 
 
 def _product(lo: int, hi: int) -> list:
     """The class D_lo * ... * D_{hi-1} as its coefficients on D_0^(d-t) D_1^t,
     t = 0..d, where d = hi - lo."""
-    out = [Fraction(1)]
+    out = [1]
     for ell in range(lo, hi):
         out = _unipoly_mul(out, _linear_form(ell))
     return out
@@ -81,9 +82,9 @@ class ChowRing:
 
         Solves the form as a combination of the basis classes plus degree-k
         multiples of the two monomial-relation products; the basis coordinates
-        are uniquely determined.
+        are uniquely determined; each is an int or a Fraction.
         """
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = list(coeffs)
         if len(coeffs) != k + 1:
             raise ValueError("expected k+1 homogeneous coefficients")
         pairs = self.basis_pairs(k)
@@ -94,7 +95,7 @@ class ChowRing:
             if k >= deg:
                 base = _product(lo, hi)
                 for t in range(k - deg + 1):
-                    col = [Fraction(0)] * (k + 1)
+                    col = [0] * (k + 1)
                     for s, v in enumerate(base):
                         col[s + t] += v
                     columns.append(col)
@@ -104,22 +105,23 @@ class ChowRing:
         x = A.solve(coeffs)
         if x is None:
             raise RuntimeError("graded reduction is inconsistent")  # cannot happen
-        return {pair: Fraction(x[t]) for t, pair in enumerate(pairs)}
+        return {pair: x[t] for t, pair in enumerate(pairs)}
 
     def d0_power_expansion(self, k: int) -> dict:
         """Coordinates of k! * D_0^k; equals the windowed Eulerian coefficients."""
         self._check_codimension(k)  # before k! can fail on a negative k
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[0] = Fraction(math.factorial(k))
+        coeffs = [0] * (k + 1)
+        coeffs[0] = math.factorial(k)
         return self.reduce_to_basis(coeffs, k)
 
-    def generic_ci_degree(self) -> Fraction:
-        """Coefficient of the top basis class in prod_{j=1}^{m+n-1} (j * D_0)."""
+    def generic_ci_degree(self) -> numbers.Rational:
+        """Coefficient of the top basis class in prod_{j=1}^{m+n-1} (j * D_0);
+        an int or a Fraction."""
         k = self.m + self.n - 1
         return self.d0_power_expansion(k)[(self.m, self.n)]
 
 
-def generic_ci_degree(m: int, n: int) -> Fraction:
+def generic_ci_degree(m: int, n: int) -> numbers.Rational:
     return ChowRing(m, n).generic_ci_degree()
 
 

@@ -17,11 +17,10 @@ theorem-matrix instead marks the cell it cut and every later cell
 from __future__ import annotations
 
 import json
+import numbers
 import re
 import sys
-import traceback
 import types
-from fractions import Fraction
 
 from . import chow, experiments, groebner as gb, laurent
 from .eulerian import (
@@ -79,7 +78,7 @@ def _int_at_least(low: int):
 def _jsonable(v):
     if isinstance(v, tuple) and hasattr(v, "_asdict"):  # a NamedTuple record
         return _jsonable(v._asdict())
-    if isinstance(v, Fraction):
+    if isinstance(v, numbers.Rational) and not isinstance(v, numbers.Integral):
         return str(v) if v.denominator != 1 else v.numerator
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
@@ -460,6 +459,7 @@ def _run(argv) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception:  # a bug, not a disagreement: keep it off exit code 1
+        import traceback  # only this path prints one: about 0.15 MB of a run
         traceback.print_exc()
         return 3
     return _emit(report, args.format)

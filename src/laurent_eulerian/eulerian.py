@@ -7,7 +7,6 @@ import io
 import itertools
 import math
 import operator
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -50,7 +49,7 @@ def eulerian_bruteforce(n: int, k: int, cap: int = 9) -> int:
 
 
 def _unipoly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -58,21 +57,23 @@ def _unipoly_mul(a: list, b: list) -> list:
 
 
 def worpitzky_check(k: int) -> bool:
-    """Exact coefficient-wise check of z^k = sum_i <k,i> C(z+i, k) over QQ."""
+    """Exact coefficient-wise check of z^k = sum_i <k,i> C(z+i, k).
+
+    Both sides times k! are integer polynomials, k! z^k = sum_i <k,i>
+    (z+i)(z+i-1)...(z+i-k+1), so the check is made in ints.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    rhs = [Fraction(0)] * (k + 1)
-    inv_kfact = Fraction(1, math.factorial(k))
+    rhs = [0] * (k + 1)
     for i in range(k):
         e = eulerian(k, i)
-        # C(z+i, k) = (z+i)(z+i-1)...(z+i-k+1) / k!
-        prod = [Fraction(1)]
+        prod = [1]
         for t in range(k):
-            prod = _unipoly_mul(prod, [Fraction(i - t), Fraction(1)])
+            prod = _unipoly_mul(prod, [i - t, 1])
         for j, c in enumerate(prod):
-            rhs[j] += e * c * inv_kfact
-    lhs = [Fraction(0)] * (k + 1)
-    lhs[k] = Fraction(1)
+            rhs[j] += e * c
+    lhs = [0] * (k + 1)
+    lhs[k] = math.factorial(k)
     return rhs == lhs
 
 

@@ -1,6 +1,8 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -45,6 +47,18 @@ class TestFields:
         assert F7.coerce(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
         with pytest.raises(ZeroDivisionError, match="denominator of 1/2 vanishes mod 2"):
             PrimeField(2).coerce(Fraction(1, 2))
+
+    @pytest.mark.parametrize("field, want", [
+        (QQ, [3, -3, 1, 3, Fraction(-2, 3)]),
+        (F7, [3, 4, 1, 3, 4]),  # -2/3 = -2 * 5 = 4 mod 7
+    ], ids=repr)
+    def test_coerce_takes_exactly_ints_and_fractions(self, field, want):
+        # a numpy integer is a numbers.Integral, so a check on numbers.Rational
+        # would take it; it stays refused, like a float and a Decimal
+        assert [field.coerce(v) for v in (3, -3, True, Fraction(3), Fraction(-2, 3))] == want
+        for v in (np.int64(3), 2.0, Decimal(1)):
+            with pytest.raises(TypeError, match="cannot coerce"):
+                field.coerce(v)
 
     def test_rational_lowest_terms(self):
         c = QQ.coerce(Fraction(2, -4))

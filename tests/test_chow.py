@@ -130,6 +130,20 @@ class TestGradedReduction:
                     full = sum(eulerian(k, i - 1) for i in range(1, k + 2))
                     assert total_in_window <= full == math.factorial(k)
 
+    def test_classes_stay_exact(self):
+        # QQ values are ints until a division makes a Fraction, and int / int
+        # would be a float: every coordinate is an int or a Fraction
+        for m in range(1, 6):
+            for n in range(max(1, 3 - m), 7 - m):
+                R = ChowRing(m, n)
+                values = [generic_ci_degree(m, n)]
+                for k in range(1, m + n):
+                    values += R.d0_power_expansion(k).values()
+                    for t in range(k + 1):
+                        unit = [int(s == t) for s in range(k + 1)]
+                        values += R.reduce_to_basis(unit, k).values()
+                assert {type(v) for v in values} <= {int, Fraction}, (m, n)
+
     def test_2_3_top_expansion(self):
         R = ChowRing(2, 3)
         assert R.d0_power_expansion(4) == {(2, 3): Fraction(11)}

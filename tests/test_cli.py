@@ -7,8 +7,10 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from laurent_eulerian import cli, experiments, laurent
@@ -166,6 +168,14 @@ class TestCommands:
     def test_ci_degree(self, capsys):
         code, rep = run_json(capsys, ["ci-degree", "--m", "3", "--n", "3"])
         assert code == 0 and rep["result"] == 66
+
+    def test_rationals_print_as_integers_or_quotients(self):
+        # a Fraction prints as its integer when integral, else as "p/q"; an
+        # int, a bool and a numpy integer pass through unchanged
+        values = [Fraction(11), Fraction(-3, 2), 7, True, np.int64(5)]
+        out = cli._jsonable(values)
+        assert out == [11, "-3/2", 7, True, 5]
+        assert [type(v) for v in out] == [int, str, int, bool, np.int64]
 
     def test_sparse_degree(self, capsys):
         code, rep = run_json(capsys, ["sparse-degree", "--m", "2", "--n", "2", "--d", "2"])

@@ -78,6 +78,59 @@ def test_one_clock():
     assert readers == ["deadline.py"]
 
 
+def true_divisions(source: str) -> list:
+    """'line: code' for each true division, / or /=, outside RationalField:
+    over ints it makes a float."""
+    tree = ast.parse(source)
+    exempt = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "RationalField"
+              for node in ast.walk(cls)}
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            and id(node) not in exempt]
+
+
+def importers(source: str, module: str) -> list:
+    """The qualified name of the innermost function or class around each
+    import of module, or "" for one at the top level."""
+    tree = ast.parse(source)
+    defs = definitions(tree)
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Import) and any(a.name == module for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == module):
+            around = [q for q, d in defs if d.lineno <= node.lineno <= d.end_lineno]
+            found.append(max(around, key=len, default=""))
+    return found
+
+
+def test_division_detectors():
+    source = (
+        "import fractions\n"
+        "class RationalField:\n"
+        "    def inv(self, a): return one() / a\n"
+        "def one():\n"
+        "    from fractions import Fraction\n"
+        "    return Fraction(1)\n"
+        "class Box:\n"
+        "    def half(self, a):\n"
+        "        a /= 2\n"
+        "        return a // 2, a / 2\n"
+    )
+    assert true_divisions(source) == ["9: a /= 2", "10: a / 2"]
+    assert importers(source, "fractions") == ["", "one"]
+
+
+def test_rationals_on_first_division():
+    # a QQ value is an int until RationalField divides, and only that
+    # division loads fractions (and the decimal it imports)
+    found = {p.name: true_divisions(p.read_text()) for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert [f"{stem}.{q}" for stem, source in sources.items()
+            for q in importers(source, "fractions")] == ["algebra._fraction_one"]
+
+
 def test_one_entry_into_the_basis():
     # generators and s-polynomial remainders enter the basis by one step, so
     # a change to how an element enters is made in one place
@@ -398,8 +451,7 @@ def test_records_are_not_dataclasses():
 
 # the modules, other than the package's own, that importing the CLI loads
 # after numpy; each costs every run its start-up time and resident memory
-CLI_IMPORTS = {"__future__", "_decimal", "_heapq", "_json", "decimal", "fractions",
-               "heapq", "json", "traceback"}
+CLI_IMPORTS = {"__future__", "_heapq", "_json", "heapq", "json"}
 
 
 def test_cli_import_surface():
@@ -426,6 +478,34 @@ def test_cli_run_loads_no_argparse():
                          text=True, check=True).stdout.splitlines()
     assert out[-1] == "0"
     assert json.loads("\n".join(out[:-1]))["result"] == 11
+
+
+def test_runs_without_division_load_no_rationals():
+    # fractions imports decimal: about 0.4 MB of a run.  Integer routes never
+    # load them; a QQ division (here the Chow solve and the QQ basis) does
+    marker = "loaded:"
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            "from laurent_eulerian.cli import main; "
+            "loaded = lambda: sorted({'decimal', 'fractions'} & set(sys.modules)); "
+            "argvs = [a.split() for a in sys.argv[1:]]; "
+            "codes = [main(argv) for argv in argvs[:-1]]; "
+            f"print({marker!r}, *codes, *loaded()); "
+            "code = main(argvs[-1]); "
+            f"print({marker!r}, code, *loaded())")
+    integer_runs = ["decomposition --m 3 --n 3", "hilbert-slices --m 2 --n 3",
+                    "eulerian --n 4 --k 1", "worpitzky --k 5",
+                    "groebner --m 2 --n 2 --field 32003 --max-power 4"]
+    argvs = integer_runs + ["--format json degree --m 2 --n 2"]
+    out = subprocess.run([sys.executable, "-I", "-c", code, *argvs], capture_output=True,
+                         text=True, check=True).stdout
+    _, first, degree, last = re.split(f"^{marker}(.*)$", out, flags=re.M)[:4]
+    assert first.split() == ["0"] * len(integer_runs)
+    assert last.split() == ["0", "decimal", "fractions"]
+    report = json.loads(degree)
+    assert report["result"] == {"m": 2, "n": 2, "eulerian": 4, "groebner_degree": 4,
+                                "intersection_degree": 4, "unit_ideal": None,
+                                "status": "ok"}
+    assert report["agreement"] is True
 
 
 def command_faults(source: str, commands: dict) -> list:
