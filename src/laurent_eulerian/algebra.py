@@ -7,6 +7,7 @@ rationals are arbitrary-precision, prime-field residues are reduced ints.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from typing import Mapping, Sequence
 
@@ -55,9 +56,10 @@ def _is_fraction(v) -> bool:
 def _fraction_one():
     """Fraction(1), the numerator of every QQ inverse.
 
-    fractions is imported here, at the first QQ division, and not at the top:
-    it imports decimal, about 0.4 MB and 2 ms of every run, and most runs
-    never divide over QQ.  Fractions are immutable, so one is shared.
+    fractions is imported here, at the first QQ division that is not exact,
+    and not at the top: it imports decimal, about 0.4 MB and 2 ms of every
+    run, and most runs never need a true rational.  Fractions are immutable,
+    so one is shared.
     """
     from fractions import Fraction
     return Fraction(1)
@@ -66,8 +68,11 @@ def _fraction_one():
 class RationalField:
     """The rationals, with values stored as ints or Fractions in lowest terms.
 
-    A value stays an int until a division makes it a Fraction, so fractions
-    is imported only by a run that divides over QQ (see _fraction_one).
+    A value stays an int until a division that is not exact makes it a
+    Fraction, so fractions is imported only by a run that needs a true
+    rational (see _fraction_one).  The Groebner engine and ExactMatrix
+    eliminate fraction-free, through cancel and primitive, and divide only
+    where an answer is read off.
     """
 
     zero = 0
@@ -96,7 +101,31 @@ class RationalField:
         return _fraction_one() / a
 
     def div(self, a, b):
+        """a / b: an int when both are ints and b divides a, else a Fraction."""
+        if isinstance(a, int) and isinstance(b, int) and b and not a % b:
+            return a // b
         return self.mul(a, self.inv(b))
+
+    def cancel(self, c, a):
+        """(scale, factor) with scale * c = factor * a and scale > 0, for
+        integers c and a != 0: a term c is cancelled by scaling it and taking
+        factor times a term a off, with scale = |a| / g and g = gcd(a, c)."""
+        g = math.gcd(a, c)
+        if a < 0:
+            g = -g
+        return a // g, c // g
+
+    def primitive(self, values: list) -> list:
+        """The values times one positive rational: coprime integers, or
+        zeros when they are all zero."""
+        den = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (den // v.denominator) for v in values]
+        # smallest first: a gcd of two long values is slow, and math.gcd
+        # skips the gcds left once it reaches 1
+        content = math.gcd(*sorted(values, key=abs))
+        if content > 1:
+            values = [v // content for v in values]
+        return values
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -152,6 +181,16 @@ class PrimeField:
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
+
+    def cancel(self, c, a):
+        """(1, c / a): a field cancels a term c by a multiple of a term a
+        without scaling it (see RationalField.cancel)."""
+        return self.one, self.div(c, a)
+
+    def primitive(self, values: list) -> list:
+        """The values: over a field every nonzero scalar is a unit, so there
+        is no content to divide out (see RationalField.primitive)."""
+        return values
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -313,7 +352,8 @@ class MultiPoly:
 
 
 class ExactMatrix:
-    """Dense matrix over an exact field; rank and solve by Gaussian elimination."""
+    """Dense matrix over an exact field; rank and solve by fraction-free
+    Gauss-Jordan elimination."""
 
     def __init__(self, rows: Sequence[Sequence[object]], field):
         self.rows = [[field.coerce(v) for v in row] for row in rows]
@@ -331,7 +371,9 @@ class ExactMatrix:
     def solve(self, rhs: Sequence[object]):
         """A solution of A x = rhs, or None if inconsistent.
 
-        Free columns are set to zero; the solution is deterministic.
+        Free columns are set to zero; the solution is deterministic.  Over QQ
+        a coordinate is an int where it is integral and a Fraction only where
+        it is not.
         """
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has wrong length")
@@ -340,16 +382,24 @@ class ExactMatrix:
         n = self.ncols
         if any(col == n for _, col in pivots):
             return None
-        # RREF with free columns set to zero: each pivot row reads off directly
+        # each pivot row reads b x_col = rhs, with the free columns set to zero
         x = [self.field.zero] * n
         for row, col in pivots:
-            x[col] = rows[row][n]
+            x[col] = self.field.div(rows[row][n], rows[row][col])
         return x
 
     def _echelon(self, rows):
-        """Reduced row echelon form in place; returns (rows, [(row, pivot_col)])."""
+        """Fraction-free Gauss-Jordan elimination in place; returns (rows,
+        [(row, pivot_col)]).  Each pivot column is zero outside its pivot
+        row, whose pivot entry is nonzero but not made 1.  Row operations
+        scale by field.cancel, and every row is kept primitive
+        (field.primitive): over QQ, rows are cleared of denominators on entry
+        and their content is divided out after each update, so the entries
+        stay coprime integers (content-based growth control, where Bareiss
+        1968 divides by the previous pivot)."""
         fld = self.field
         ncols = len(rows[0]) if rows else 0
+        rows[:] = [fld.primitive(row) for row in rows]
         pivots = []
         r = 0
         for c in range(ncols):
@@ -357,17 +407,14 @@ class ExactMatrix:
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            inv = fld.inv(rows[r][c])
-            rows[r] = [fld.mul(v, inv) for v in rows[r]]
+            pivot = rows[r]
             for i in range(len(rows)):
                 if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [
-                        fld.sub(a, fld.mul(f, b)) for a, b in zip(rows[i], rows[r])
-                    ]
+                    scale, factor = fld.cancel(rows[i][c], pivot[c])
+                    rows[i] = fld.primitive([fld.sub(fld.mul(scale, a), fld.mul(factor, b))
+                                             for a, b in zip(rows[i], pivot)])
             pivots.append((r, c))
             r += 1
             if r == len(rows):
                 break
         return rows, pivots
-

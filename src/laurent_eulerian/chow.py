@@ -5,8 +5,10 @@ monomial ideal (two products of consecutive divisors) and the linear relations
 read off the ray matrix.  Those relations make every class affine in its
 index, D_j = (1-j)*D_0 + j*D_1 (Fulton, Introduction to Toric Varieties,
 section 3.3), and each graded piece is handled by exact linear algebra in the
-two-variable polynomial ring QQ[D_0, D_1].  The classes are built from ints;
-Fractions appear only where the QQ solve divides.
+two-variable polynomial ring QQ[D_0, D_1].  The classes are built from ints,
+and the QQ solve eliminates fraction-free and divides once per pivot row, so
+a coordinate is an int wherever it is integral, as the Eulerian coefficients
+are.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class ChowRing:
 
         Solves the form as a combination of the basis classes plus degree-k
         multiples of the two monomial-relation products; the basis coordinates
-        are uniquely determined; each is an int or a Fraction.
+        are uniquely determined; each is an int where it is integral, else a
+        Fraction.
         """
         coeffs = list(coeffs)
         if len(coeffs) != k + 1:

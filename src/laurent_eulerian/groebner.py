@@ -5,11 +5,15 @@ _on_packing, which checks fields and windows, packs, widens the fields on
 overflow and unpacks.  One term update, _subtract, takes a multiple of a
 shifted element off a packed polynomial: each reduction step is one call,
 and each s-polynomial two.  Every element of a basis, generator or
-s-polynomial remainder, enters fully reduced and primitive.
+s-polynomial remainder, enters fully reduced and primitive.  Over QQ the
+reduction is fraction-free: the elements are primitive integer polynomials,
+a step scales by field.cancel instead of dividing, and only reading a monic
+basis or an exact normal form divides.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -142,15 +146,10 @@ def _on_packing(order: TermOrder, polys: Sequence[MultiPoly], run) -> list:
                       first.nvars, first.offset, first.field) for r in result]
 
 
-def _make_primitive(terms: dict, field) -> dict:
-    """Over QQ, scale to integer coefficients with content 1 (the sign is
-    kept); over other fields, leave unchanged."""
-    if field != QQ:
-        return terms
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-    content = math.gcd(*ints.values())
-    return {e: c // content for e, c in ints.items()}
+def _primitive(terms: dict, field) -> dict:
+    """The terms times one positive scalar (field.primitive): over QQ,
+    coprime integer coefficients."""
+    return dict(zip(terms, field.primitive(list(terms.values()))))
 
 
 def _element(terms: dict, packing: Packing) -> tuple:
@@ -163,26 +162,44 @@ def _element(terms: dict, packing: Packing) -> tuple:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, interreduced, in increasing order of the
-    leading monomials, which `leading` lists as exponent tuples."""
+    """Reduced Groebner basis: interreduced, in increasing order of the
+    leading monomials, which `leading` lists as exponent tuples.
 
-    def __init__(self, elements: Sequence[MultiPoly], leading: Sequence[tuple],
+    `primitive` holds each element as the engine leaves it, a nonzero scalar
+    multiple of the monic one; over QQ it has coprime integer coefficients.
+    `leading`, `len` and `is_unit` read no coefficient.  `elements`, and
+    iteration, give the monic elements: each is divided by its leading
+    coefficient on the first read of `elements`, so over QQ only a basis
+    that is read term by term can make a Fraction.
+    """
+
+    def __init__(self, primitive: Sequence[MultiPoly], leading: Sequence[tuple],
                  order: TermOrder):
-        self.elements = list(elements)
+        self.primitive = list(primitive)
         self.leading = list(leading)
         self.order = order
-        self.nvars = self.elements[0].nvars
-        self.field = self.elements[0].field
+        self.nvars = self.primitive[0].nvars
+        self.field = self.primitive[0].field
+
+    @functools.cached_property
+    def elements(self) -> list:
+        div = self.field.div
+        monic = []
+        for g, lm in zip(self.primitive, self.leading):
+            lc = g.terms[lm]
+            monic.append(MultiPoly({e: div(c, lc) for e, c in g.terms.items()},
+                                   g.nvars, g.offset, g.field))
+        return monic
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.primitive)
 
     def __iter__(self):
         return iter(self.elements)
 
     @property
     def is_unit(self) -> bool:
-        return len(self.elements) == 1 and self.leading[0] == (0,) * self.nvars
+        return len(self.primitive) == 1 and self.leading[0] == (0,) * self.nvars
 
 
 def _subtract(work: dict, element: tuple, shift: int, factor, field, guards: int) -> None:
@@ -205,15 +222,30 @@ def _subtract(work: dict, element: tuple, shift: int, factor, field, guards: int
             work[e] = field.neg(v)
 
 
+# once the product of a reduction's scales passes this many bits, and again
+# each time what is left of it doubles, _reduce divides out the part of it
+# that all coefficients share
+_CONTENT_BITS = 64
+
+
 def _reduce(work: dict, reducers, field, guards: int,
             deadline: Deadline = NO_DEADLINE) -> dict:
     """Full normal form (tail reduction included) of the packed polynomial
-    work, which is consumed, modulo the reducers, each an _element.
+    work, which is consumed, modulo the reducers, each an _element; up to a
+    nonzero scalar over QQ.
 
-    The first reducer whose leading monomial divides a popped term reduces it.
-    A deadline is checked once per popped work term.
+    The first reducer whose leading monomial divides a popped term reduces
+    it.  The step is fraction-free: for the popped c x^e and a reducer with
+    leading coefficient a, field.cancel gives (scale, factor), work and the
+    remainder are multiplied by scale, and factor x^shift tail is taken off
+    work.  Over QQ, with integer work and reducers, everything stays an
+    integer, and the remainder is a positive multiple of the true one.  The
+    part of the scales' product that divides every coefficient of work and
+    the remainder is divided out (see _CONTENT_BITS).  Over a prime field
+    the scale is 1.  A deadline is checked once per popped work term.
     """
     remainder = {}
+    grown, limit = 1, _CONTENT_BITS  # the scales' product not divided out
     while work:
         deadline.check()
         e = max(work)
@@ -221,35 +253,67 @@ def _reduce(work: dict, reducers, field, guards: int,
         for h in reducers:
             shift = e - h[0]
             if not shift & guards:
-                _subtract(work, h, shift, field.div(c, h[1]), field, guards)
+                scale, factor = field.cancel(c, h[1])
+                if scale != 1:  # over QQ only, so on ints
+                    work = {k: v * scale for k, v in work.items()}
+                    remainder = {k: v * scale for k, v in remainder.items()}
+                    grown *= scale
+                _subtract(work, h, shift, factor, field, guards)
+                if grown.bit_length() > limit:
+                    # grown first: a gcd with it is short, and math.gcd
+                    # skips the gcds left once it reaches 1
+                    content = math.gcd(grown, *work.values(), *remainder.values())
+                    if content > 1:
+                        work = {k: v // content for k, v in work.items()}
+                        remainder = {k: v // content for k, v in remainder.items()}
+                        grown //= content
+                    limit = max(_CONTENT_BITS, 2 * grown.bit_length())
                 break
         else:
             remainder[e] = c
     return remainder
 
 
+# a key below every packed monomial that no monomial divides: a term there
+# rides through _reduce untouched but for the scales and the content removal,
+# so its final coefficient is what the remainder was multiplied by
+_SCALE_KEY = -1
+
+
 def normal_form(p: MultiPoly, G: GroebnerBasis) -> MultiPoly:
-    """Remainder of p on division by G; zero iff p lies in the ideal of G."""
+    """Remainder of p on division by G; zero iff p lies in the ideal of G.
+
+    The division runs on G's primitive elements.  Over QQ it runs in
+    integers: p's denominators are cleared on entry, and the remainder is
+    divided by the accumulated scale once, at the end.
+    """
+    field = p.field
+
     def run(packing, packed):
         reducers = [_element(g, packing) for g in packed[1:]]
-        return [_reduce(packed[0], reducers, p.field, packing.guards)]
+        work = _primitive({**packed[0], _SCALE_KEY: field.one}, field)
+        remainder = _reduce(work, reducers, field, packing.guards)
+        scale = remainder.pop(_SCALE_KEY)
+        return [{e: field.div(c, scale) for e, c in remainder.items()}]
 
-    return _on_packing(G.order, [p, *G], run)[0]
+    return _on_packing(G.order, [p, *G.primitive], run)[0]
 
 
 def _s_polynomial(f: tuple, g: tuple, lcm: int, field, guards: int) -> dict:
-    """lc(g) (lcm / lm(f)) f - lc(f) (lcm / lm(g)) g for two _elements; the
-    leading terms cancel and are left out."""
+    """scale (lcm / lm(f)) f - factor (lcm / lm(g)) g for two _elements, with
+    (scale, factor) = field.cancel(lc(f), lc(g)); the leading terms cancel
+    and are left out."""
+    scale, factor = field.cancel(f[1], g[1])
     s = {}
-    _subtract(s, f, lcm - f[0], field.neg(g[1]), field, guards)
-    _subtract(s, g, lcm - g[0], f[1], field, guards)
+    _subtract(s, f, lcm - f[0], field.neg(scale), field, guards)
+    _subtract(s, g, lcm - g[0], factor, field, guards)
     return s
 
 
 def _buchberger(gens: list, packing: Packing, field, deadline: Deadline) -> list:
     """The reduced Groebner basis of the packed generators, which are
-    consumed, as monic packed polynomials in increasing leading-monomial
-    order."""
+    consumed, as primitive packed polynomials in increasing leading-monomial
+    order, each with its leading monomial first."""
     guards = packing.guards
     elements = []  # every _element added, the generators' remainders first
     active = []  # indices of the elements whose leading monomial no later one divides
@@ -282,26 +346,28 @@ def _buchberger(gens: list, packing: Packing, field, deadline: Deadline) -> list
         active[:] = [i for i in active if (elements[i][0] - lm) & guards] + [t]
 
     def enter(work: dict) -> None:
-        """Add work's remainder by the active elements, made primitive, unless zero."""
+        """Add the primitive work's remainder by the active elements, made
+        primitive, unless zero."""
         r = _reduce(work, [elements[i] for i in active], field, guards, deadline)
         if r:
-            add(_make_primitive(r, field))
+            add(_primitive(r, field))
 
     while gens:  # a packed generator is freed once it has entered
-        enter(gens.pop(0))
+        enter(_primitive(gens.pop(0), field))
     while pairs:
         deadline.check()
         _, lcm, i, j = heapq.heappop(pairs)
         enter(_s_polynomial(elements[i], elements[j], lcm, field, guards))
 
-    # interreduce and make monic; no active leading monomial divides another
+    # interreduce: no active leading monomial divides another, so each
+    # element's leading term is the first of its remainder
     basis = []
     for i in sorted(active, key=lambda i: elements[i][0]):
         deadline.check()
         lm, lc, tail, _ = elements[i]
-        r = _reduce(dict(tail), [elements[k] for k in active if k != i], field, guards, deadline)
-        inv = field.inv(lc)
-        basis.append({lm: field.one, **{e: field.mul(c, inv) for e, c in r.items()}})
+        r = _reduce({lm: lc, **dict(tail)}, [elements[k] for k in active if k != i],
+                    field, guards, deadline)
+        basis.append(_primitive(r, field))
     return basis
 
 

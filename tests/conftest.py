@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 from sympy.polys.orderings import grevlex, lex
@@ -46,6 +47,59 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
     mf = MultiPoly({tuple(a - b for a, b in zip(lcm, ef)): fld.inv(cf)}, f.nvars, f.offset, fld)
     mg = MultiPoly({tuple(a - b for a, b in zip(lcm, eg)): fld.inv(cg)}, f.nvars, f.offset, fld)
     return mf * f - mg * g
+
+
+def fraction_remainder(p: MultiPoly, divisors, order: TermOrder) -> MultiPoly:
+    """The remainder of p on division by the divisors, by Fraction arithmetic
+    on exponent tuples: the largest term left is divided by the first divisor
+    whose leading monomial divides it, or else moved to the remainder."""
+    key = ORDER_KEYS[order.kind]
+    leads = [leading_term(g, order) for g in divisors]
+    work = {e: Fraction(c) for e, c in p.terms.items()}
+    remainder = {}
+    while work:
+        e = max(work, key=key)
+        c = work.pop(e)
+        for g, (lm, lc) in zip(divisors, leads):
+            if all(a >= b for a, b in zip(e, lm)):
+                factor = c / Fraction(lc)
+                for t, d in g.terms.items():
+                    if t != lm:
+                        t = tuple(a + b - u for a, b, u in zip(t, e, lm))
+                        v = work.get(t, 0) - factor * d
+                        if v:
+                            work[t] = v
+                        else:
+                            work.pop(t, None)
+                break
+        else:
+            remainder[e] = c
+    return MultiPoly(remainder, p.nvars, p.offset, p.field)
+
+
+def fraction_solve(rows: list, rhs: list):
+    """A solution of rows x = rhs by Gauss-Jordan elimination on Fractions,
+    with the free columns zero, or None if the system is inconsistent."""
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    ncols = len(rows[0])
+    pivots = []
+    for c in range(ncols + 1):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if pr is None:
+            continue
+        if c == ncols:
+            return None
+        aug[r], aug[pr] = aug[pr], aug[r]
+        aug[r] = [v / aug[r][c] for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                aug[i] = [a - aug[i][c] * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = aug[r][ncols]
+    return x
 
 
 def degenerate_seeds(monkeypatch, bad) -> None:

@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -15,7 +16,7 @@ from laurent_eulerian.algebra import (
     PrimeField,
     ZeroPolynomialError,
 )
-from conftest import random_poly, variable
+from conftest import fraction_solve, random_poly, variable
 
 
 F7 = PrimeField(7)
@@ -205,3 +206,67 @@ class TestExactRank:
         A = ExactMatrix([[1, 1, 0]], QQ)
         x = A.solve([5])
         assert x == [5, 0, 0]
+
+    def test_solve_matches_fraction_gauss_jordan(self):
+        # random integer systems, many of them rank-deficient, half of them
+        # consistent by construction; the solution is exact, an int wherever
+        # it is integral and a Fraction only where it is not
+        rng = random.Random(23)
+        seen = {"int": 0, "Fraction": 0, "None": 0}
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            basis = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+            rows = [[sum(rng.randint(-2, 2) * b[c] for b in basis) for c in range(ncols)]
+                    for _ in range(nrows)]
+            if rng.random() < 0.5:
+                x0 = [rng.randint(-5, 5) for _ in range(ncols)]
+                rhs = [sum(a * b for a, b in zip(row, x0)) for row in rows]
+            else:
+                rhs = [rng.randint(-9, 9) for _ in range(nrows)]
+            got = ExactMatrix(rows, QQ).solve(rhs)
+            want = fraction_solve(rows, rhs)
+            if want is None:
+                assert got is None, (rows, rhs)
+                seen["None"] += 1
+                continue
+            assert got == want, (rows, rhs)
+            for g, w in zip(got, want):
+                assert type(g) is (int if w.denominator == 1 else Fraction), (rows, rhs, got)
+                seen[type(g).__name__] += 1
+        assert min(seen.values()) > 20
+
+    def test_solve_over_a_prime_field(self):
+        F = PrimeField(101)
+        rng = random.Random(29)
+        for _ in range(50):
+            rows = [[rng.randint(0, 100) for _ in range(3)] for _ in range(3)]
+            x0 = [rng.randint(0, 100) for _ in range(3)]
+            rhs = [sum(a * b for a, b in zip(row, x0)) % 101 for row in rows]
+            x = ExactMatrix(rows, F).solve(rhs)
+            assert [sum(a * b for a, b in zip(row, x)) % 101 for row in rows] == rhs
+
+
+class TestFractionFreeSteps:
+    def test_division_is_an_int_when_exact(self):
+        assert QQ.div(12, -4) == -3 and type(QQ.div(12, -4)) is int
+        assert QQ.div(0, 7) == 0 and type(QQ.div(0, 7)) is int
+        assert QQ.div(3, 6) == Fraction(1, 2)
+        assert QQ.div(Fraction(3, 2), 3) == Fraction(1, 2)
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(1, 0)
+
+    @pytest.mark.parametrize("c, a", [(6, 4), (-6, 4), (6, -4), (-6, -4), (0, 5), (7, 1), (5, -5)])
+    def test_cancel_scales_by_a_positive_integer(self, c, a):
+        scale, factor = QQ.cancel(c, a)
+        assert scale > 0 and scale * c == factor * a
+        assert math.gcd(scale, factor) == 1
+
+    def test_prime_field_cancel_does_not_scale(self):
+        assert F7.cancel(3, 5) == (1, F7.div(3, 5))
+
+    def test_primitive(self):
+        assert QQ.primitive([Fraction(1, 2), Fraction(-3, 4), 6]) == [2, -3, 24]
+        assert QQ.primitive([-4, 6, Fraction(8)]) == [-2, 3, 4]
+        assert QQ.primitive([0, 0]) == [0, 0]
+        assert QQ.primitive([]) == []
+        assert F7.primitive([3, 5]) == [3, 5]

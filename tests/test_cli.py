@@ -525,7 +525,9 @@ class TestExitCodes:
         assert message in captured.err
 
     def test_budget_timeout_off_main_thread(self, capsys):
-        argv = ["--format", "json", "hilbert-slices", "--m", "3", "--n", "3",
+        # (3,4) takes seconds, so it cannot finish inside the budget; (3,3)
+        # warm could, and the test would flake
+        argv = ["--format", "json", "hilbert-slices", "--m", "3", "--n", "4",
                 "--budget-seconds", "0.05"]
         codes = []
         worker = threading.Thread(target=lambda: codes.append(main(argv)))

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 import tracemalloc
@@ -27,7 +28,8 @@ from laurent_eulerian.groebner import (
     staircase_monomials,
 )
 from laurent_eulerian.laurent import LaurentSpec, constant_term_iterative
-from conftest import ORDER_KEYS, leading_term, random_poly, s_polynomial, variable
+from conftest import (ORDER_KEYS, fraction_remainder, leading_term, random_poly, s_polynomial,
+                      variable)
 
 
 def v(j, nvars=2, offset=0, field=QQ):
@@ -244,6 +246,113 @@ class TestNormalForm:
             p = random_poly(rng, 2, 0, QQ)
             q = random_poly(rng, 2, 0, QQ)
             assert normal_form(p + q, G) == normal_form(p, G) + normal_form(q, G)
+
+
+def _rational_poly(rng, nvars, max_terms=4, max_exp=3) -> MultiPoly:
+    """A random QQ polynomial with Fraction coefficients of either sign."""
+    p = random_poly(rng, nvars, 0, QQ, max_terms=max_terms, max_exp=max_exp, coeff_range=9)
+    return MultiPoly({e: Fraction(c, rng.randint(1, 12)) for e, c in p.terms.items()},
+                     nvars, 0, QQ)
+
+
+class TestFractionFree:
+    """Over QQ the engine reduces in integers and divides only where a
+    monic basis or an exact remainder is read."""
+
+    # content removal after every scaled step, at the default, and never
+    @pytest.mark.parametrize("bits", [0, groebner._CONTENT_BITS, 10**9])
+    def test_normal_form_is_the_exact_remainder(self, monkeypatch, bits):
+        monkeypatch.setattr(groebner, "_CONTENT_BITS", bits)
+        rng = random.Random(71)
+        negative = {"generator": 0, "p": 0}
+        for trial in range(40):
+            order = TermOrder(("degrevlex", "lex")[trial % 2])
+            # in lex, three random generators can take the engine minutes
+            count = rng.randint(1, 3 if order.kind == "degrevlex" else 2)
+            gens = [g for g in (_rational_poly(rng, 3, 3, 2) for _ in range(count))
+                    if not g.is_zero]
+            if not gens:
+                continue
+            negative["generator"] += any(leading_term(g, order)[1] < 0 for g in gens)
+            G = buchberger(gens, order)
+            for _ in range(5):
+                p = _rational_poly(rng, 3, 5, 4)
+                if not p.is_zero:
+                    negative["p"] += leading_term(p, order)[1] < 0
+                want = fraction_remainder(p, G.elements, order)
+                # the same remainder, term for term, not up to a scalar
+                assert normal_form(p, G).terms == want.terms, (gens, p)
+        assert min(negative.values()) > 10
+
+    def test_normal_form_by_a_unit_free_basis(self):
+        # every element of G has a leading coefficient other than 1 in its
+        # primitive form, so each step scales; the remainder is still exact
+        x, y = v(0), v(1)
+
+        def c(k):
+            return MultiPoly({(0, 0): k}, 2, 0, QQ)
+
+        G = buchberger([c(3) * x * x - c(2) * y, c(5) * y * y + x])
+        assert all(abs(g.terms[lm]) != 1 for g, lm in zip(G.primitive, G.leading))
+        p = MultiPoly({(3, 1): Fraction(-7, 3), (1, 2): 4, (0, 0): Fraction(1, 2)}, 2, 0, QQ)
+        r = normal_form(p, G)
+        assert r.terms == fraction_remainder(p, G.elements, G.order).terms
+        assert any(not isinstance(c, int) for c in r.terms.values())
+
+    def test_rational_generators_give_the_same_basis(self):
+        # pinned from the engine that reduced over Fractions
+        def poly(terms):
+            return MultiPoly(terms, 3, 0, QQ)
+
+        gens = [poly({(2, 1, 0): Fraction(-3, 4), (0, 0, 2): Fraction(5, 6), (1, 0, 0): 2}),
+                poly({(1, 2, 0): Fraction(-7, 2), (0, 1, 1): Fraction(1, 3), (0, 0, 0): -1}),
+                poly({(0, 2, 1): Fraction(2, 9), (1, 1, 0): -5})]
+        expected = {
+            "degrevlex": [
+                "-2/15 + -35/3*x_2 + -56/45*x_1 + x_0",
+                "-3 + -525/2*x_2 + -28*x_1 + x_1*x_2",
+                "1286755/22876 + 64351875/13072*x_2 + 16077625/183008*x_2^2 + 14703/28*x_1"
+                " + x_1^2",
+                "144182104/16077625 + 2524138228/3215525*x_2 + 3606022/128621*x_2^2 + x_2^3"
+                " + 1345657824/16077625*x_1",
+            ],
+            "lex": [
+                "-25088/3215525 + 8984/16077625*x_2 + -77172/3215525*x_2^2"
+                " + 4634/128621*x_2^3 + x_2^4",
+                "18022763/168207228 + 3155172785/336414456*x_2 + 32196625/96118416*x_2^2"
+                " + 16077625/1345657824*x_2^3 + x_1",
+                "224/54066609 + 257452/54066609*x_2 + 45075275/108133218*x_2^2"
+                " + 3215525/216266436*x_2^3 + x_0",
+            ],
+        }
+        for kind, want in expected.items():
+            G = buchberger(gens, TermOrder(kind))
+            assert [str(g) for g in G] == want
+            # a rational rescaling of the generators changes no element
+            scaled = [g * poly({(0, 0, 0): Fraction(-5, 7)}) for g in gens]
+            assert [str(g) for g in buchberger(scaled[::-1], TermOrder(kind))] == want
+
+    def test_primitive_elements_and_a_lazy_monic_basis(self):
+        G = groebner_of_ideal(IdealSpec(2, 3))
+        for g, lm in zip(G.primitive, G.leading):
+            values = list(g.terms.values())
+            assert next(iter(g.terms)) == lm
+            assert all(isinstance(c, int) for c in values)
+            assert math.gcd(*values) == 1
+        # the staircase, the length and the unit test read no coefficient
+        assert (quotient_dimension(G), len(G), G.is_unit) == (11, 7, False)
+        assert "elements" not in vars(G)
+        monic = G.elements
+        assert G.elements is monic and [g.terms[lm] for g, lm in zip(monic, G.leading)] == [1] * 7
+        assert [str(g) for g in G][2] == "x_2^3 + -4/3*x_1*x_2 + 2/3*x_-1^2"
+
+    def test_prime_field_elements_are_monic_multiples(self):
+        F = PrimeField(32003)
+        spec = IdealSpec(2, 3, field=F)
+        G = groebner_of_ideal(spec)
+        for g, monic, lm in zip(G.primitive, G.elements, G.leading):
+            lc = g.terms[lm]
+            assert monic.terms == {e: F.div(c, lc) for e, c in g.terms.items()}
 
 
 class TestConstantTermIdeals:

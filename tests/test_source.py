@@ -481,8 +481,9 @@ def test_cli_run_loads_no_argparse():
 
 
 def test_runs_without_division_load_no_rationals():
-    # fractions imports decimal: about 0.4 MB of a run.  Integer routes never
-    # load them; a QQ division (here the Chow solve and the QQ basis) does
+    # fractions imports decimal: about 0.4 MB of a run.  The QQ Groebner
+    # reduction and the Chow solve are fraction-free, so only printing a
+    # non-integral basis or solution loads them: here the QQ basis of (2,3)
     marker = "loaded:"
     code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
             "from laurent_eulerian.cli import main; "
@@ -494,18 +495,23 @@ def test_runs_without_division_load_no_rationals():
             f"print({marker!r}, code, *loaded())")
     integer_runs = ["decomposition --m 3 --n 3", "hilbert-slices --m 2 --n 3",
                     "eulerian --n 4 --k 1", "worpitzky --k 5",
-                    "groebner --m 2 --n 2 --field 32003 --max-power 4"]
-    argvs = integer_runs + ["--format json degree --m 2 --n 2"]
+                    "groebner --m 2 --n 2 --field 32003 --max-power 4",
+                    "--format json degree --m 2 --n 2",
+                    "--format json theorem-matrix --max-total 4",
+                    "degree --m 2 --n 3 --field 32003", "chow-expand --m 3 --n 3 --k 5"]
+    argvs = integer_runs + ["--format json groebner --m 2 --n 3"]
     out = subprocess.run([sys.executable, "-I", "-c", code, *argvs], capture_output=True,
                          text=True, check=True).stdout
-    _, first, degree, last = re.split(f"^{marker}(.*)$", out, flags=re.M)[:4]
+    before, first, basis, last = re.split(f"^{marker}(.*)$", out, flags=re.M)[:4]
     assert first.split() == ["0"] * len(integer_runs)
     assert last.split() == ["0", "decimal", "fractions"]
-    report = json.loads(degree)
-    assert report["result"] == {"m": 2, "n": 2, "eulerian": 4, "groebner_degree": 4,
+    assert "x_2^3 + -4/3*x_1*x_2 + 2/3*x_-1^2" in json.loads(basis)["result"]
+    degree, grid = [json.loads(r) for r in re.findall(r"^\{$.*?^\}$", before, re.M | re.S)]
+    assert degree["result"] == {"m": 2, "n": 2, "eulerian": 4, "groebner_degree": 4,
                                 "intersection_degree": 4, "unit_ideal": None,
                                 "status": "ok"}
-    assert report["agreement"] is True
+    assert degree["agreement"] is True and grid["agreement"] is True
+    assert [c["unit_ideal"] for c in grid["result"]] == [True] * 6
 
 
 def command_faults(source: str, commands: dict) -> list:
