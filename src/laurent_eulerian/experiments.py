@@ -154,7 +154,34 @@ def _positions(index, a: int, b: int) -> np.ndarray:
     return np.searchsorted(index[a + b], index[a][:, None] + index[b])
 
 
-def _span_matrix(forms, index, j: int, deadline: Deadline = NO_DEADLINE) -> np.ndarray:
+def _span_rows(forms, index, j: int) -> int:
+    """Row count of the span matrix of slice j: one row per form g_i of
+    _form_degrees and monomial of slice j-i.  forms may be any sequence with
+    one entry per form."""
+    return sum(len(index[j - i]) for i in _form_degrees(forms, j))
+
+
+def _workspace(size: int) -> np.ndarray:
+    """An uninitialised int16 buffer of size entries.  Every slice matrix is
+    a zeroed view of one (_zeroed), so this is the one allocation of a slice
+    matrix."""
+    return np.empty(size, dtype=np.int16)
+
+
+def _zeroed(work: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
+    """A zeroed nrows x ncols view of the workspace work; a matrix larger
+    than work gets a workspace of its own.  The view overwrites whatever
+    matrix work held before."""
+    size = nrows * ncols
+    if size > len(work):
+        work = _workspace(size)
+    M = work[:size].reshape(nrows, ncols)
+    M.fill(0)
+    return M
+
+
+def _span_matrix(forms, index, j: int, work: np.ndarray,
+                 deadline: Deadline = NO_DEADLINE) -> np.ndarray:
     """Span matrix of slice j: row (i, t) holds q*g_i for i >= 2 (see
     _form_degrees) and the t-th monomial q of slice j-i, rows ordered by i
     then t, columns indexed by slice j in ascending lex order (column
@@ -164,11 +191,13 @@ def _span_matrix(forms, index, j: int, deadline: Deadline = NO_DEADLINE) -> np.n
     a quarter at (3,4).
 
     The forms and the matrix hold int16 residues mod p: q*u is injective in
-    u, so every entry is one coefficient.
+    u, so every entry is one coefficient.  The matrix is a view of the
+    workspace work, zeroed on entry (_zeroed); its elimination overwrites it
+    in place, and the next matrix built in work overwrites it again.
     """
     degrees = _form_degrees(forms, j)
     ncols = len(index[j])
-    A = np.zeros((sum(len(index[j - i]) for i in degrees), ncols), dtype=np.int16)
+    A = _zeroed(work, _span_rows(forms, index, j), ncols)
     r = 0
     for i in degrees:
         deadline.check()
@@ -178,11 +207,12 @@ def _span_matrix(forms, index, j: int, deadline: Deadline = NO_DEADLINE) -> np.n
     return A
 
 
-def _exact_slice_rank(residues, index, j: int,
+def _exact_slice_rank(residues, index, j: int, work: np.ndarray,
                       deadline: Deadline = NO_DEADLINE) -> Optional[int]:
     """Certified exact QQ-rank of the degree-j ideal-slice span A, or None
     when the certificate stays open; residues are the forms mod p =
-    _RANK_PRIME, as int16.
+    _RANK_PRIME, as int16, and work is the int16 workspace that A and S
+    view in turn.
 
     Let P be the pivot rows of A mod p, r_low = |P|, and N the other rows.
     Lower bound: the pivot rows hold a minor that is nonzero mod p, hence
@@ -197,38 +227,42 @@ def _exact_slice_rank(residues, index, j: int,
     the residues give exactly, so the pinned number is the QQ rank of the raw
     int32 forms' span; they use only rank_p <= rank_QQ, true for every prime,
     so an unlucky prime can only leave the slice open.  Each matrix is
-    overwritten by its elimination.
+    overwritten by its elimination.  A is dead once its pivot rows are read,
+    so S is built in the same workspace (a larger S gets its own, _zeroed).
     """
-    A = _span_matrix(residues, index, j, deadline)
+    A = _span_matrix(residues, index, j, work, deadline)
     nrows = len(A)
     pivots = _rank_mod_p(A, _RANK_PRIME, deadline)
     r_low = len(pivots)
     if r_low == min(nrows, len(index[j])):
         return r_low
-    free = np.ones(nrows, dtype=bool)
-    free[pivots] = False
-    cols = np.where(free, np.cumsum(free) - 1, -1)
-    S = _koszul_syzygies(residues, index, j, cols, deadline)
+    pivot_rows = set(pivots.tolist())
+    free = [row for row in range(nrows) if row not in pivot_rows]
+    S = _koszul_syzygies(residues, index, j, free, work, deadline)
     if len(_rank_mod_p(S, _RANK_PRIME, deadline)) == nrows - r_low:
         return r_low
     return None
 
 
-def _koszul_syzygies(forms, index, j: int, cols: np.ndarray,
+def _koszul_syzygies(forms, index, j: int, free, work: np.ndarray,
                      deadline: Deadline = NO_DEADLINE) -> np.ndarray:
     """Koszul syzygy rows, one per (i < k, monomial q of slice j-i-k) over the
-    _form_degrees, restricted to the span rows that cols maps to a column
-    (-1: left out).
+    _form_degrees, restricted to the span rows listed in free (ascending):
+    the s-th of them is column s.
 
     The g_k block lands in span rows (i, .) and the g_i block in rows (k, .),
     so, as in the span matrix, every entry is one int16 residue; for
-    x < p < 2**15 the sign -x fits too.
+    x < p < 2**15 the sign -x fits too.  The matrix is a zeroed view of the
+    workspace work, or of its own when it is larger (_zeroed), and its
+    elimination overwrites it.
     """
     degrees = _form_degrees(forms, j)
-    start = dict(zip(degrees, np.cumsum([0] + [len(index[j - i]) for i in degrees])))
+    *starts, nrows = itertools.accumulate((len(index[j - i]) for i in degrees), initial=0)
+    start = dict(zip(degrees, starts))
+    cols = np.full(nrows, -1)
+    cols[free] = range(len(free))
     pairs = [(i, k) for i, k in itertools.combinations(degrees, 2) if i + k <= j]
-    S = np.zeros((sum(len(index[j - i - k]) for i, k in pairs), np.count_nonzero(cols >= 0)),
-                 dtype=np.int16)
+    S = _zeroed(work, sum(len(index[j - i - k]) for i, k in pairs), len(free))
     r = 0
     for i, k in pairs:
         deadline.check()
@@ -254,7 +288,9 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     x_0-free monomials.
 
     Each x_0-free slice is enumerated once, before any seed, and kept as its
-    keys; each seed's forms are reduced mod _RANK_PRIME once.  A slice whose
+    keys; each seed's forms are reduced mod _RANK_PRIME once.  One int16
+    workspace, as large as the largest span matrix, is allocated before the
+    first seed, and every slice matrix that fits is a view of it.  A slice whose
     rank certificate stays open has dimension None.  A degenerate seed (a
     slice open, or the total above the Eulerian bound) is retried with the
     next seed, up to _MAX_SEEDS seeds, and all tried seeds are reported; when
@@ -279,6 +315,10 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
     index = [slice_monomials(m, n, t, base, deadline) for t in range(j_max + 1)]
     # only g_1'..g_{j_max}' reach slices 0..j_max
     sizes = [len(keys) for keys in index[1 : min(m + n, j_max) + 1]]
+    # the span matrices of slices 0..j_max, and each Koszul matrix that fits,
+    # take turns in one workspace; sizes has one entry per form
+    work = _workspace(max((_span_rows(sizes, index, j) * len(index[j])
+                           for j in range(j_max + 1)), default=0))
     for attempt in range(_MAX_SEEDS):
         s = seed + attempt
         tried.append(s)
@@ -287,7 +327,7 @@ def graded_quotient_dims(m: int, n: int, seed: int = 0, j_max: Optional[int] = N
         dims = []
         for j in range(j_max + 1):
             deadline.check()
-            rank = _exact_slice_rank(residues, index, j, deadline)
+            rank = _exact_slice_rank(residues, index, j, work, deadline)
             dims.append(None if rank is None else len(index[j]) - rank)
         result = GradedDims(m, n, tuple(tried), tuple(dims))
         if result.total is not None and result.total <= bound:

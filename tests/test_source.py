@@ -94,14 +94,23 @@ def importers(source: str, module: str) -> list:
     """The qualified name of the innermost function or class around each
     import of module, or "" for one at the top level."""
     tree = ast.parse(source)
-    defs = definitions(tree)
-    found = []
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Import) and any(a.name == module for a in node.names)
-                or isinstance(node, ast.ImportFrom) and node.module == module):
-            around = [q for q, d in defs if d.lineno <= node.lineno <= d.end_lineno]
-            found.append(max(around, key=len, default=""))
-    return found
+    return [enclosing(tree, node) for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name == module for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == module]
+
+
+def enclosing(tree, node) -> str:
+    """The qualified name of the innermost function or class of tree around
+    node, or "" at the top level."""
+    around = [q for q, d in definitions(tree) if d.lineno <= node.lineno <= d.end_lineno]
+    return max(around, key=len, default="")
+
+
+def callers(source: str, callees: set) -> list:
+    """enclosing() of each call whose callee, as written, is in callees."""
+    tree = ast.parse(source)
+    return [enclosing(tree, node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in callees]
 
 
 def test_division_detectors():
@@ -119,6 +128,7 @@ def test_division_detectors():
     )
     assert true_divisions(source) == ["9: a /= 2", "10: a / 2"]
     assert importers(source, "fractions") == ["", "one"]
+    assert sorted(callers(source, {"Fraction", "one"})) == ["RationalField.inv", "one"]
 
 
 def test_rationals_on_first_division():
@@ -139,6 +149,22 @@ def test_one_entry_into_the_basis():
     adds = [node for node in ast.walk(body)
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "add"]
     assert len(adds) == 1
+
+
+# numpy's allocators of a new array, as experiments.py calls them
+NUMPY_ALLOCATORS = {f"np.{name}{like}" for name in ("zeros", "empty", "ones", "full")
+                    for like in ("", "_like")}
+
+
+def test_one_slice_matrix_allocation():
+    # every span and Koszul matrix is a zeroed view of one int16 workspace per
+    # graded_quotient_dims call: _workspace is the one allocation of a slice
+    # matrix, made once per call and by _zeroed only for a matrix past the
+    # workspace.  np.full builds the Koszul column map, one int per span row
+    source = (PACKAGE / "experiments.py").read_text()
+    found = Counter(callers(source, NUMPY_ALLOCATORS))
+    assert found == {"_workspace": 1, "_koszul_syzygies": 1}
+    assert sorted(callers(source, {"_workspace"})) == ["_zeroed", "graded_quotient_dims"]
 
 
 def test_one_weight_zero_walk():
