@@ -10,7 +10,7 @@ from .algebra import (
     ZeroPolynomialError,
 )
 from .deadline import Deadline, DeadlineExceeded
-from .chow import ChowRing, generic_ci_degree, sparse_ci_degree
+from .chow import generic_ci_degree, sparse_ci_degree
 from .eulerian import (
     CircularPermutation,
     deg_Z_circle,
@@ -24,7 +24,6 @@ from .eulerian import (
 from .groebner import (
     GroebnerBasis,
     IdealSpec,
-    TermOrder,
     buchberger,
     build_ideal,
     conjecture_unit_check,
@@ -32,11 +31,7 @@ from .groebner import (
     normal_form,
     quotient_dimension,
 )
-from .laurent import (
-    LaurentSpec,
-    constant_term_iterative,
-    constant_term_multinomial,
-)
+from .laurent import constant_term_iterative, constant_term_multinomial
 from .experiments import (
     decomposition_report,
     graded_quotient_dims,
@@ -53,7 +48,6 @@ __all__ = [
     "ZeroPolynomialError",
     "Deadline",
     "DeadlineExceeded",
-    "ChowRing",
     "generic_ci_degree",
     "sparse_ci_degree",
     "CircularPermutation",
@@ -66,14 +60,12 @@ __all__ = [
     "worpitzky_check",
     "GroebnerBasis",
     "IdealSpec",
-    "TermOrder",
     "buchberger",
     "build_ideal",
     "conjecture_unit_check",
     "ideal_quotient_dimension",
     "normal_form",
     "quotient_dimension",
-    "LaurentSpec",
     "constant_term_iterative",
     "constant_term_multinomial",
     "decomposition_report",

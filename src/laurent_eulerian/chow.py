@@ -56,76 +56,66 @@ def _product(lo: int, hi: int) -> list:
     return out
 
 
-class ChowRing:
-    """Exact intersection calculus for the window (m, n); requires m+n > 2."""
+def _check_codimension(m: int, n: int, k: int) -> None:
+    """Raise ValueError unless the window (m, n) has a ring, m+n > 2, and k
+    is one of its codimensions."""
+    check_window(m, n)
+    if m + n <= 2:
+        raise ValueError("the toric compactification requires m+n > 2")
+    if not 1 <= k <= m + n - 1:
+        raise ValueError(f"codimension {k} outside [1, {m + n - 1}]")
 
-    def __init__(self, m: int, n: int):
-        check_window(m, n)
-        if m + n <= 2:
-            raise ValueError("the toric compactification requires m+n > 2")
-        self.m = m
-        self.n = n
 
-    def _check_codimension(self, k: int) -> None:
-        if not 1 <= k <= self.m + self.n - 1:
-            raise ValueError(f"codimension {k} outside [1, {self.m + self.n - 1}]")
+def basis_pairs(m: int, n: int, k: int) -> list:
+    """Index pairs (i, j) of the codimension-k basis classes, i+j-1 = k."""
+    _check_codimension(m, n, k)
+    return [(i, k + 1 - i) for i in range(1, m + 1) if 0 <= k + 1 - i <= n]
 
-    def basis_pairs(self, k: int) -> list:
-        """Index pairs (i, j) of the codimension-k basis classes, i+j-1 = k."""
-        self._check_codimension(k)
-        return [
-            (i, k + 1 - i)
-            for i in range(1, self.m + 1)
-            if 0 <= k + 1 - i <= self.n
-        ]
 
-    def reduce_to_basis(self, coeffs, k: int) -> dict:
-        """Coordinates of a degree-k form sum_t coeffs[t] D_0^(k-t) D_1^t.
+def reduce_to_basis(m: int, n: int, coeffs, k: int) -> dict:
+    """Coordinates of a degree-k form sum_t coeffs[t] D_0^(k-t) D_1^t.
 
-        Solves the form as a combination of the basis classes plus degree-k
-        multiples of the two monomial-relation products; the basis coordinates
-        are uniquely determined; each is an int where it is integral, else a
-        Fraction.
-        """
-        coeffs = list(coeffs)
-        if len(coeffs) != k + 1:
-            raise ValueError("expected k+1 homogeneous coefficients")
-        pairs = self.basis_pairs(k)
-        columns = [_product(-i + 1, j) for i, j in pairs]
-        # the monomial relations D_{-m}...D_{-1} = 0 and D_0...D_n = 0
-        for lo, hi in ((-self.m, 0), (0, self.n + 1)):
-            deg = hi - lo
-            if k >= deg:
-                base = _product(lo, hi)
-                for t in range(k - deg + 1):
-                    col = [0] * (k + 1)
-                    for s, v in enumerate(base):
-                        col[s + t] += v
-                    columns.append(col)
-        A = ExactMatrix(
-            [[columns[c][r] for c in range(len(columns))] for r in range(k + 1)], QQ
-        )
-        x = A.solve(coeffs)
-        if x is None:
-            raise RuntimeError("graded reduction is inconsistent")  # cannot happen
-        return {pair: x[t] for t, pair in enumerate(pairs)}
+    Solves the form as a combination of the basis classes plus degree-k
+    multiples of the two monomial-relation products; the basis coordinates
+    are uniquely determined; each is an int where it is integral, else a
+    Fraction.
+    """
+    pairs = basis_pairs(m, n, k)
+    coeffs = list(coeffs)
+    if len(coeffs) != k + 1:
+        raise ValueError("expected k+1 homogeneous coefficients")
+    columns = [_product(-i + 1, j) for i, j in pairs]
+    # the monomial relations D_{-m}...D_{-1} = 0 and D_0...D_n = 0
+    for lo, hi in ((-m, 0), (0, n + 1)):
+        deg = hi - lo
+        if k >= deg:
+            base = _product(lo, hi)
+            for t in range(k - deg + 1):
+                col = [0] * (k + 1)
+                for s, v in enumerate(base):
+                    col[s + t] += v
+                columns.append(col)
+    A = ExactMatrix(
+        [[columns[c][r] for c in range(len(columns))] for r in range(k + 1)], QQ
+    )
+    x = A.solve(coeffs)
+    if x is None:
+        raise RuntimeError("graded reduction is inconsistent")  # cannot happen
+    return {pair: x[t] for t, pair in enumerate(pairs)}
 
-    def d0_power_expansion(self, k: int) -> dict:
-        """Coordinates of k! * D_0^k; equals the windowed Eulerian coefficients."""
-        self._check_codimension(k)  # before k! can fail on a negative k
-        coeffs = [0] * (k + 1)
-        coeffs[0] = math.factorial(k)
-        return self.reduce_to_basis(coeffs, k)
 
-    def generic_ci_degree(self) -> numbers.Rational:
-        """Coefficient of the top basis class in prod_{j=1}^{m+n-1} (j * D_0);
-        an int or a Fraction."""
-        k = self.m + self.n - 1
-        return self.d0_power_expansion(k)[(self.m, self.n)]
+def d0_power_expansion(m: int, n: int, k: int) -> dict:
+    """Coordinates of k! * D_0^k; equals the windowed Eulerian coefficients."""
+    _check_codimension(m, n, k)  # before k! can fail on a negative k
+    coeffs = [0] * (k + 1)
+    coeffs[0] = math.factorial(k)
+    return reduce_to_basis(m, n, coeffs, k)
 
 
 def generic_ci_degree(m: int, n: int) -> numbers.Rational:
-    return ChowRing(m, n).generic_ci_degree()
+    """Coefficient of the top basis class in prod_{j=1}^{m+n-1} (j * D_0);
+    an int or a Fraction."""
+    return d0_power_expansion(m, n, m + n - 1)[(m, n)]
 
 
 class SparseDegree(NamedTuple):

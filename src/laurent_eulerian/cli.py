@@ -33,7 +33,6 @@ from .eulerian import (
 )
 from .algebra import QQ, PrimeField
 from .deadline import Deadline, DeadlineExceeded, valid_seconds
-from .laurent import LaurentSpec
 
 
 # An argument's type turns its text into its value, or raises ValueError
@@ -193,21 +192,20 @@ def _orbits(args, report):
           "constant term of f^power; both algorithms compared on every power up to it",
           *WINDOW, FIELD, ("--power", _INT))
 def _const_terms(args, report):
-    spec = LaurentSpec(args.m, args.n, field=args.field)
-    a = laurent.constant_term_iterative(spec, args.power)
-    b = [laurent.constant_term_multinomial(spec, i) for i in range(1, args.power + 1)]
+    a = laurent.constant_term_iterative(args.m, args.n, args.field, args.power)
+    b = [laurent.constant_term_multinomial(args.m, args.n, args.field, i)
+         for i in range(1, args.power + 1)]
     report["result"] = str(a[-1])
     report["agreement"] = a == b
 
 
 @_command("groebner", "reduced basis of the constant-term ideal",
           *WINDOW, FIELD,
-          ("--order", {"choices": ("degrevlex", "lex"), "default": "degrevlex"}),
+          ("--order", {"choices": gb.ORDERS, "default": "degrevlex"}),
           ("--max-power", {"type": _int_arg}), BUDGET)
 def _groebner(args, report):
     spec = gb.IdealSpec(args.m, args.n, max_power=args.max_power, field=args.field)
-    basis = gb.groebner_of_ideal(spec, gb.TermOrder(args.order),
-                                 deadline=Deadline(args.budget_seconds))
+    basis = gb.groebner_of_ideal(spec, args.order, deadline=Deadline(args.budget_seconds))
     report["result"] = [str(g) for g in basis]
 
 
@@ -229,7 +227,7 @@ def _conjecture_check(args, report):
 
 @_command("chow-expand", "basis coordinates of k! D_0^k", *WINDOW, ("--k", _INT))
 def _chow_expand(args, report):
-    coords = chow.ChowRing(args.m, args.n).d0_power_expansion(args.k)
+    coords = chow.d0_power_expansion(args.m, args.n, args.k)
     report["result"] = {f"D_(-{i},{j})": v for (i, j), v in coords.items()}
     report["agreement"] = all(
         v == chow.expected_d0_coefficient(args.m, args.n, args.k, i)

@@ -73,11 +73,6 @@ class GradedDims(NamedTuple):
     dims: tuple
 
     @property
-    def seed(self) -> int:
-        """The seed whose profile this is: the last one tried."""
-        return self.seeds_tried[-1]
-
-    @property
     def total(self) -> Optional[int]:
         """Sum of the slice dimensions; None when any slice is open (None)."""
         return None if None in self.dims else sum(self.dims)

@@ -13,8 +13,8 @@ basis or an exact normal form divides.
 
 from __future__ import annotations
 
+import bisect
 import functools
-import heapq
 import itertools
 import math
 from typing import NamedTuple, Optional, Sequence
@@ -22,26 +22,15 @@ from typing import NamedTuple, Optional, Sequence
 from .algebra import QQ, MultiPoly
 from .deadline import NO_DEADLINE, Deadline
 from .eulerian import check_window
-from .laurent import LaurentSpec, constant_term_iterative
+from .laurent import constant_term_iterative
 
 
-class _TermOrder(NamedTuple):
-    kind: str
-
-
-class TermOrder(_TermOrder):
-    """Monomial order on exponent tuples, with the variables in position
-    order: x_{offset} > x_{offset+1} > ...  lex compares the tuples from the
-    first exponent.  degrevlex compares total degrees, and of two monomials
-    of one degree the larger has the smaller exponent at the last position
-    where they differ.  Packing encodes the order."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str = "degrevlex"):
-        if kind not in ("degrevlex", "lex"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        return super().__new__(cls, kind)
+# the term orders by name, the variables in position order: x_{offset} >
+# x_{offset+1} > ...  lex compares the exponent tuples from the first
+# exponent.  degrevlex compares total degrees, and of two monomials of one
+# degree the larger has the smaller exponent at the last position where they
+# differ.  Packing encodes the order.
+ORDERS = ("degrevlex", "lex")
 
 
 class ExponentOverflow(OverflowError):
@@ -67,21 +56,23 @@ class Packing:
       packed monomials is below 2**(width + 1).
     """
 
-    def __init__(self, order: TermOrder, nvars: int, width: int):
+    def __init__(self, order: str, nvars: int, width: int):
         step = width + 1
         self.width = width
         self._field = (1 << width) - 1
-        if order.kind == "degrevlex":
+        if order == "degrevlex":
             nfields = 2 * nvars
             self._shifts = [step * i for i in range(nvars)]
             # the exponent fields times _sums put a_0 + ... + a_k in field nvars + k
             self._sums = sum(1 << step * (nvars + k) for k in range(nvars))
             self._largest = sum
-        else:
+        elif order == "lex":
             nfields = nvars
             self._shifts = [step * (nvars - 1 - i) for i in range(nvars)]
             self._sums = 0
             self._largest = max
+        else:
+            raise ValueError(f"unknown term order {order!r}")
         self._sums_mask = sum(self._field << step * f for f in range(nvars, nfields))
         self.guards = sum(1 << step * f + width for f in range(nfields))
         self._exponents = sum(self._field << s for s in self._shifts)
@@ -124,7 +115,7 @@ class Packing:
         return top
 
 
-def _on_packing(order: TermOrder, polys: Sequence[MultiPoly], run) -> list:
+def _on_packing(order: str, polys: Sequence[MultiPoly], run) -> list:
     """The packed boundary: run(packing, packed) on the polynomials packed,
     with fields wide enough for four times their largest degree and twice as
     wide each time a monomial overflows.  run returns packed polynomials,
@@ -174,7 +165,7 @@ class GroebnerBasis:
     """
 
     def __init__(self, primitive: Sequence[MultiPoly], leading: Sequence[tuple],
-                 order: TermOrder):
+                 order: str):
         self.primitive = list(primitive)
         self.leading = list(leading)
         self.order = order
@@ -317,7 +308,7 @@ def _buchberger(gens: list, packing: Packing, field, deadline: Deadline) -> list
     guards = packing.guards
     elements = []  # every _element added, the generators' remainders first
     active = []  # indices of the elements whose leading monomial no later one divides
-    pairs = []  # heap of (degree of the lcm, lcm, i, j), i < j
+    pairs = []  # ascending (degree of the lcm, lcm, i, j), i < j
 
     def add(terms: dict) -> None:
         """The Gebauer-Moeller update (Gebauer & Moeller 1988) for a new element."""
@@ -328,7 +319,6 @@ def _buchberger(gens: list, packing: Packing, field, deadline: Deadline) -> list
         # with h of both its elements differ from it
         pairs[:] = [p for p in pairs
                     if (p[1] - lm) & guards or p[1] == lcms[p[2]] or p[1] == lcms[p[3]]]
-        heapq.heapify(pairs)
         # criteria M and F: a new pair goes when another one's lcm divides its
         # lcm; pairs are taken from the highest index down, so that of equal
         # lcms the lowest index stays.  Coprime pairs stay here to drop others,
@@ -341,7 +331,7 @@ def _buchberger(gens: list, packing: Packing, field, deadline: Deadline) -> list
             if coprime or all((lcm - lcms[k]) & guards for k in itertools.chain(waiting, kept)):
                 kept.append(i)
                 if not coprime:
-                    heapq.heappush(pairs, (sum(packing.unpack(lcm)), lcm, i, t))
+                    bisect.insort(pairs, (sum(packing.unpack(lcm)), lcm, i, t))
         elements.append(h)
         active[:] = [i for i in active if (elements[i][0] - lm) & guards] + [t]
 
@@ -356,7 +346,7 @@ def _buchberger(gens: list, packing: Packing, field, deadline: Deadline) -> list
         enter(_primitive(gens.pop(0), field))
     while pairs:
         deadline.check()
-        _, lcm, i, j = heapq.heappop(pairs)
+        _, lcm, i, j = pairs.pop(0)
         enter(_s_polynomial(elements[i], elements[j], lcm, field, guards))
 
     # interreduce: no active leading monomial divides another, so each
@@ -371,7 +361,7 @@ def _buchberger(gens: list, packing: Packing, field, deadline: Deadline) -> list
     return basis
 
 
-def buchberger(generators: Sequence[MultiPoly], order: TermOrder = TermOrder(),
+def buchberger(generators: Sequence[MultiPoly], order: str = "degrevlex",
                deadline: Deadline = NO_DEADLINE) -> GroebnerBasis:
     """Reduced Groebner basis by Buchberger's algorithm on packed monomials.
 
@@ -457,18 +447,17 @@ def build_ideal(spec: IdealSpec) -> list:
     """Generators: constant terms of the powers 1..max_power, all from one
     pass of constant_term_iterative, with the endpoint variables set to 1
     (the dehomogenized window)."""
-    lspec = LaurentSpec(spec.m, spec.n, field=spec.field)
     # Setting x_{-m} = x_n = 1 drops their exponents, and no two terms merge:
     # a term's degree i and weight 0 fix its x_{-m} and x_n exponents from the
     # others, because that 2x2 system has determinant m+n.
     return [
         MultiPoly({e[1:-1]: c for e, c in ct.terms.items()},
                   spec.m + spec.n - 1, -spec.m + 1, spec.field)
-        for ct in constant_term_iterative(lspec, spec.max_power)
+        for ct in constant_term_iterative(spec.m, spec.n, spec.field, spec.max_power)
     ]
 
 
-def groebner_of_ideal(spec: IdealSpec, order: TermOrder = TermOrder(),
+def groebner_of_ideal(spec: IdealSpec, order: str = "degrevlex",
                       deadline: Deadline = NO_DEADLINE) -> GroebnerBasis:
     return buchberger(build_ideal(spec), order, deadline=deadline)
 

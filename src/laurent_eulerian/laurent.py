@@ -13,37 +13,23 @@ power by formula.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
-from .algebra import QQ, MultiPoly
+from .algebra import MultiPoly
 from .deadline import NO_DEADLINE, Deadline
 from .eulerian import check_window
 
 
-class _LaurentSpec(NamedTuple):
-    m: int
-    n: int
-    field: object
-
-
-class LaurentSpec(_LaurentSpec):
-    """The generic window Laurent polynomial on {-m, ..., n} over a field."""
-
-    __slots__ = ()
-
-    def __new__(cls, m: int, n: int, field=QQ):
-        check_window(m, n)
-        return super().__new__(cls, m, n, field)
-
-
-def _check_power(i: int):
+def _check(m: int, n: int, i: int):
+    """Raise ValueError unless the window is valid and the power positive."""
+    check_window(m, n)
     if i < 1:
         raise ValueError("power must be a positive integer (powers are 1-indexed)")
 
 
-def constant_term_iterative(spec: LaurentSpec, top: int) -> list:
-    """[z^0 coefficient of the i-th power for i = 1..top], in one pass of
-    repeated multiplication by the window polynomial over the integers.
+def constant_term_iterative(m: int, n: int, field, top: int) -> list:
+    """[z^0 coefficient of the i-th power for i = 1..top] over field, for
+    the window {-m, ..., n}, in one pass of repeated multiplication by the
+    window polynomial over the integers.
 
     The pass holds a power as z-exponent -> {exponent vector: count}, and
     the term x_j z^j adds one to the exponent of x_j.  At power s it keeps only
@@ -53,8 +39,7 @@ def constant_term_iterative(spec: LaurentSpec, top: int) -> list:
     the field at the end: the integers map onto any prime field as a ring,
     and MultiPoly drops the terms that vanish there.
     """
-    _check_power(top)
-    m, n = spec.m, spec.n
+    _check(m, n, top)
     nvars = m + n + 1
     current = {0: {(0,) * nvars: 1}}
     out = []
@@ -69,7 +54,7 @@ def constant_term_iterative(spec: LaurentSpec, top: int) -> list:
                     v = u[:t] + (u[t] + 1,) + u[t + 1:]
                     bucket[v] = bucket.get(v, 0) + c
         current = following
-        out.append(MultiPoly(current.get(0, {}), nvars, -m, spec.field))
+        out.append(MultiPoly(current.get(0, {}), nvars, -m, field))
     return out
 
 
@@ -145,8 +130,8 @@ def multinomial(i: int, exps) -> int:
     return out
 
 
-def constant_term_multinomial(spec: LaurentSpec, i: int) -> MultiPoly:
+def constant_term_multinomial(m: int, n: int, field, i: int) -> MultiPoly:
     """z^0 coefficient of the i-th power, by direct multinomial summation."""
-    _check_power(i)
-    terms = {u: multinomial(i, u) for u in weight_zero_exponents(spec.m, spec.n, i)}
-    return MultiPoly(terms, spec.m + spec.n + 1, -spec.m, spec.field)
+    _check(m, n, i)
+    terms = {u: multinomial(i, u) for u in weight_zero_exponents(m, n, i)}
+    return MultiPoly(terms, m + n + 1, -m, field)

@@ -7,7 +7,6 @@ from sympy.polys.orderings import grevlex, lex
 from laurent_eulerian.algebra import MultiPoly
 from laurent_eulerian.deadline import NO_DEADLINE
 from laurent_eulerian.experiments import GenericFormSet
-from laurent_eulerian.groebner import TermOrder
 
 # each term order as a sort key on exponent tuples, by sympy's definitions,
 # independent of the packed encoding the Groebner engine compares by
@@ -29,15 +28,15 @@ def random_poly(rng: random.Random, nvars: int, offset: int, field,
     return MultiPoly(terms, nvars, offset, field)
 
 
-def leading_term(p: MultiPoly, order: TermOrder) -> tuple:
+def leading_term(p: MultiPoly, order: str) -> tuple:
     """The leading exponent tuple of p in the order, and its coefficient."""
     if p.is_zero:
         raise ValueError("zero polynomial has no leading term")
-    e = max(p.terms, key=ORDER_KEYS[order.kind])
+    e = max(p.terms, key=ORDER_KEYS[order])
     return e, p.terms[e]
 
 
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
+def s_polynomial(f: MultiPoly, g: MultiPoly, order: str) -> MultiPoly:
     """(lcm / lt(f)) f - (lcm / lt(g)) g, lcm the leading monomials' lcm,
     by MultiPoly arithmetic on exponent tuples."""
     ef, cf = leading_term(f, order)
@@ -49,11 +48,11 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
     return mf * f - mg * g
 
 
-def fraction_remainder(p: MultiPoly, divisors, order: TermOrder) -> MultiPoly:
+def fraction_remainder(p: MultiPoly, divisors, order: str) -> MultiPoly:
     """The remainder of p on division by the divisors, by Fraction arithmetic
     on exponent tuples: the largest term left is divided by the first divisor
     whose leading monomial divides it, or else moved to the remainder."""
-    key = ORDER_KEYS[order.kind]
+    key = ORDER_KEYS[order]
     leads = [leading_term(g, order) for g in divisors]
     work = {e: Fraction(c) for e, c in p.terms.items()}
     remainder = {}

@@ -113,8 +113,8 @@ class TestCommands:
         # a multinomial route wrong at power 1 only: ct(f^3) still agrees
         real = laurent.constant_term_multinomial
 
-        def wrong_at_one(spec, i):
-            ct = real(spec, i)
+        def wrong_at_one(m, n, field, i):
+            ct = real(m, n, field, i)
             return ct + ct if i == 1 else ct
 
         monkeypatch.setattr(laurent, "constant_term_multinomial", wrong_at_one)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import laurent_eulerian
-from laurent_eulerian import chow, experiments, groebner, laurent
+from laurent_eulerian import chow, experiments, groebner
 from laurent_eulerian.eulerian import CircularPermutation, orbit_decomposition
 
 # a record of each kind, as the program builds it
@@ -15,9 +15,7 @@ RECORDS = {
     "SparseDegree": lambda: chow.sparse_ci_degree(2, 2, 2),
     "CircularPermutation": lambda: CircularPermutation((1, 2, 0)),
     "OrbitDecomposition": lambda: orbit_decomposition(5, 2),
-    "TermOrder": lambda: groebner.TermOrder(),
     "IdealSpec": lambda: groebner.IdealSpec(2, 3),
-    "LaurentSpec": lambda: laurent.LaurentSpec(1, 2),
     "GenericFormSet": lambda: experiments.GenericFormSet.generate(0, [1, 2]),
     "GradedDims": lambda: experiments.graded_quotient_dims(1, 2),
     "DecompositionRow": lambda: experiments.decomposition_report(2, 2).rows[0],

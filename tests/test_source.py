@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import re
@@ -450,6 +451,18 @@ def test_tracer_names_resolve():
     assert kinds["GenericFormSet.generate"] is classmethod
 
 
+def test_tracer_names_each_basis_kind():
+    # the benchmark labels each groebner_of_ideal span from the IdealSpec it
+    # is called with; a spec that lost m, n or max_power would fail every
+    # traced groebner task
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    IdealSpec = laurent_eulerian.IdealSpec
+    assert tracing._basis_kind(IdealSpec(2, 3)) == "groebner.basis.degree_ideal"
+    assert tracing._basis_kind(IdealSpec(2, 3, 2 + 3)) == "groebner.basis.unit_ideal"
+
+
 def test_oracles_are_defined():
     # an oracle that no longer exists should leave the list too
     defined = {q for p in MODULES for q, _ in definitions(ast.parse(p.read_text()))}
@@ -477,7 +490,7 @@ def test_records_are_not_dataclasses():
 
 # the modules, other than the package's own, that importing the CLI loads
 # after numpy; each costs every run its start-up time and resident memory
-CLI_IMPORTS = {"__future__", "_heapq", "_json", "heapq", "json"}
+CLI_IMPORTS = {"__future__", "_json", "json"}
 
 
 def test_cli_import_surface():
